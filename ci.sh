@@ -109,6 +109,13 @@ grep -q "wrote target/ci-placement/BENCH_placement_tovec.json" "$PLACEMENT_LOG"
 grep -q "wrote target/ci-placement/BENCH_placement_powerlist.json" "$PLACEMENT_LOG"
 grep -q "placement gate passed" "$PLACEMENT_LOG"
 
+echo "==> smoke: streambench runs every workload and its compare tool"
+# streambench is its own workspace (BENCHMARK.json's command builds it
+# from streambench/Cargo.toml), so the root `cargo test` never reaches
+# its smoke test: every workload untraced and traced at smoke size,
+# checked against BENCHMARK.json, plus `compare` on the rows it wrote.
+cargo test --release --offline --manifest-path streambench/Cargo.toml
+
 echo "==> plcheck: deterministic concurrency checker gate"
 # Fixed regression models + the pinned regression-seed set run inside
 # the normal suite; then a short randomized-schedule smoke walks fresh

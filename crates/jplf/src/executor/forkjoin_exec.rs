@@ -430,6 +430,7 @@ mod tests {
 
     #[test]
     fn matches_sequential_sum() {
+        let _serial = crate::test_serial::shared();
         let p = tabulate(1 << 12, |i| i as i64).unwrap();
         let seq = SequentialExecutor::new().execute(&Sum, &p.clone().view());
         for threads in [1, 2, 4] {
@@ -444,6 +445,7 @@ mod tests {
 
     #[test]
     fn map_order_preserved() {
+        let _serial = crate::test_serial::shared();
         let p = tabulate(256, |i| i as i64).unwrap();
         let exec = ForkJoinExecutor::new(3, 8);
         let out = exec.execute(&Square, &p.clone().view());
@@ -453,6 +455,7 @@ mod tests {
 
     #[test]
     fn leaf_size_extremes_agree() {
+        let _serial = crate::test_serial::shared();
         let p = tabulate(128, |i| i as i64 % 13).unwrap();
         let a = ForkJoinExecutor::new(2, 1).execute(&Sum, &p.clone().view());
         let b = ForkJoinExecutor::new(2, 128).execute(&Sum, &p.clone().view());
@@ -461,6 +464,7 @@ mod tests {
 
     #[test]
     fn singleton_input() {
+        let _serial = crate::test_serial::shared();
         let p = PowerList::singleton(9i64);
         assert_eq!(
             ForkJoinExecutor::new(2, 4).execute(&Sum, &p.clone().view()),
@@ -470,6 +474,7 @@ mod tests {
 
     #[test]
     fn adaptive_matches_sequential() {
+        let _serial = crate::test_serial::shared();
         let p = tabulate(1 << 10, |i| i as i64 % 17).unwrap();
         let seq = SequentialExecutor::new().execute(&Sum, &p.clone().view());
         let exec = ForkJoinExecutor::adaptive(2);
@@ -489,6 +494,7 @@ mod tests {
 
     #[test]
     fn shared_pool_reuse() {
+        let _serial = crate::test_serial::shared();
         let pool = Arc::new(ForkJoinPool::new(2));
         let e1 = ForkJoinExecutor::with_pool(Arc::clone(&pool), 16);
         let e2 = ForkJoinExecutor::with_pool(Arc::clone(&pool), 4);
@@ -502,6 +508,7 @@ mod tests {
 
     #[test]
     fn from_config_resolves_pool_and_policy() {
+        let _serial = crate::test_serial::shared();
         let pool = Arc::new(ForkJoinPool::new(2));
         let exec = ForkJoinExecutor::from_config(
             &ExecConfig::par()
@@ -518,6 +525,7 @@ mod tests {
 
     #[test]
     fn auto_tuned_executor_calibrates_once_then_hits() {
+        let _serial = crate::test_serial::exclusive();
         let cache = Arc::new(pltune::PlanCache::new());
         let exec = ForkJoinExecutor::from_config(
             &ExecConfig::par()
@@ -541,6 +549,7 @@ mod tests {
 
     #[test]
     fn explicit_policy_disables_the_tuner() {
+        let _serial = crate::test_serial::exclusive();
         let cache = Arc::new(pltune::PlanCache::new());
         let exec = ForkJoinExecutor::from_config(
             &ExecConfig::par()
@@ -561,6 +570,7 @@ mod tests {
 
     #[test]
     fn try_execute_happy_path_matches_execute() {
+        let _serial = crate::test_serial::shared();
         let p = tabulate(1 << 10, |i| i as i64 % 23).unwrap();
         let exec = ForkJoinExecutor::new(2, 64);
         let plain = exec.execute(&Sum, &p.clone().view());
@@ -595,6 +605,7 @@ mod tests {
 
     #[test]
     fn try_execute_contains_panics_and_pool_survives() {
+        let _serial = crate::test_serial::shared();
         let pool = Arc::new(ForkJoinPool::new(2));
         let exec = ForkJoinExecutor::with_pool(Arc::clone(&pool), 1);
         let p = tabulate(256, |i| i as i64).unwrap();
@@ -617,6 +628,7 @@ mod tests {
 
     #[test]
     fn try_execute_honours_pre_cancelled_token() {
+        let _serial = crate::test_serial::shared();
         let token = jstreams::CancelToken::new();
         token.cancel(jstreams::CancelReason::User);
         let exec = ForkJoinExecutor::new(2, 64);
@@ -629,6 +641,7 @@ mod tests {
 
     #[test]
     fn try_execute_falls_back_on_shut_down_pool() {
+        let _serial = crate::test_serial::exclusive();
         let pool = Arc::new(ForkJoinPool::new(1));
         let exec = ForkJoinExecutor::with_pool(Arc::clone(&pool), 16);
         pool.shutdown();

@@ -343,6 +343,7 @@ mod tests {
 
     #[test]
     fn rank_rounding() {
+        let _serial = crate::test_serial::shared();
         assert_eq!(MpiExecutor::new(1).ranks(), 1);
         assert_eq!(MpiExecutor::new(2).ranks(), 2);
         assert_eq!(MpiExecutor::new(3).ranks(), 2);
@@ -353,6 +354,7 @@ mod tests {
 
     #[test]
     fn sum_matches_sequential_across_rank_counts() {
+        let _serial = crate::test_serial::shared();
         let p = tabulate(256, |i| i as i64 * 3 - 100).unwrap();
         let expected = SequentialExecutor::new().execute(&Sum, &p.clone().view());
         for ranks in [1, 2, 4, 8] {
@@ -366,6 +368,7 @@ mod tests {
 
     #[test]
     fn noncommutative_combine_order_is_correct() {
+        let _serial = crate::test_serial::shared();
         let p = tabulate(16, |i| i as u8).unwrap();
         let expected = SequentialExecutor::new().execute(&Concat, &p.clone().view());
         for ranks in [2, 4, 8] {
@@ -379,6 +382,7 @@ mod tests {
 
     #[test]
     fn zip_decomposition_scatters_parity_classes() {
+        let _serial = crate::test_serial::shared();
         let p = tabulate(64, |i| i as i64).unwrap();
         let expected = SequentialExecutor::new().execute(&Neg, &p.clone().view());
         for ranks in [2, 4] {
@@ -389,18 +393,21 @@ mod tests {
 
     #[test]
     fn more_ranks_than_elements_clamps() {
+        let _serial = crate::test_serial::shared();
         let p = tabulate(4, |i| i as i64).unwrap();
         assert_eq!(MpiExecutor::new(16).execute(&Sum, &p.clone().view()), 6);
     }
 
     #[test]
     fn singleton_input_short_circuits() {
+        let _serial = crate::test_serial::shared();
         let p = PowerList::singleton(11i64);
         assert_eq!(MpiExecutor::new(8).execute(&Sum, &p.clone().view()), 11);
     }
 
     #[test]
     fn from_config_takes_ranks_knob() {
+        let _serial = crate::test_serial::shared();
         assert_eq!(
             MpiExecutor::from_config(&ExecConfig::par().with_ranks(6)).ranks(),
             4
@@ -410,6 +417,7 @@ mod tests {
 
     #[test]
     fn try_execute_happy_path_matches_execute() {
+        let _serial = crate::test_serial::shared();
         let p = tabulate(128, |i| i as i64 * 7 - 50).unwrap();
         for ranks in [1, 2, 4] {
             let exec = MpiExecutor::new(ranks);
@@ -452,6 +460,7 @@ mod tests {
 
     #[test]
     fn try_execute_contains_rank_panics() {
+        let _serial = crate::test_serial::shared();
         let p = tabulate(64, |i| i as i64).unwrap();
         for ranks in [2, 4, 8] {
             let err = MpiExecutor::new(ranks)
@@ -467,6 +476,7 @@ mod tests {
 
     #[test]
     fn try_execute_honours_pre_cancelled_token() {
+        let _serial = crate::test_serial::shared();
         let token = jstreams::CancelToken::new();
         token.cancel(jstreams::CancelReason::User);
         let p = tabulate(32, |i| i as i64).unwrap();

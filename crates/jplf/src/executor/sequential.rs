@@ -88,6 +88,7 @@ mod tests {
 
     #[test]
     fn computes_max() {
+        let _serial = crate::test_serial::shared();
         let p = tabulate(32, |i| ((i * 37) % 61) as i64).unwrap();
         let expected = *p.iter().max().unwrap();
         assert_eq!(
@@ -98,6 +99,7 @@ mod tests {
 
     #[test]
     fn singleton_is_basic_case() {
+        let _serial = crate::test_serial::shared();
         let p = PowerList::singleton(-5i64);
         assert_eq!(
             SequentialExecutor::new().execute(&Max, &p.clone().view()),

@@ -246,17 +246,20 @@ mod tests {
 
     #[test]
     fn sum_reduces() {
+        let _serial = crate::test_serial::shared();
         let p = tabulate(16, |i| i as i64).unwrap();
         assert_eq!(compute_on_list(&Sum, p), 120);
     }
 
     #[test]
     fn sum_singleton() {
+        let _serial = crate::test_serial::shared();
         assert_eq!(compute_on_list(&Sum, PowerList::singleton(7)), 7);
     }
 
     #[test]
     fn map_via_zip_preserves_order() {
+        let _serial = crate::test_serial::shared();
         let p = tabulate(8, |i| i as i64).unwrap();
         let out = compute_on_list(&AddC(100), p);
         assert_eq!(out.as_slice(), &[100, 101, 102, 103, 104, 105, 106, 107]);
@@ -264,6 +267,7 @@ mod tests {
 
     #[test]
     fn eq5_transform_halves_runs() {
+        let _serial = crate::test_serial::shared();
         // length 2: f([a, b]) = [a+b] | [a-b]
         let p = PowerList::from_vec(vec![5i64, 3]).unwrap();
         let out = compute_on_list(&SumDiffDescend, p);

@@ -61,3 +61,23 @@ pub use plist_function::{
 };
 pub use search::{Not, PowerSearchFunction, SearchExecutor};
 pub use trace::{compute_traced, compute_with_sink, PhaseTrace};
+
+/// Serialises unit tests around the process-global `plobs` sink: a test
+/// that records a `RunReport` holds [`exclusive`](test_serial::exclusive)
+/// so no concurrently running executor leaks events into it; every
+/// other test that runs an executor holds
+/// [`shared`](test_serial::shared).
+#[cfg(test)]
+mod test_serial {
+    use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static LOCK: RwLock<()> = RwLock::new(());
+
+    pub(crate) fn shared() -> RwLockReadGuard<'static, ()> {
+        LOCK.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    pub(crate) fn exclusive() -> RwLockWriteGuard<'static, ()> {
+        LOCK.write().unwrap_or_else(|e| e.into_inner())
+    }
+}

@@ -224,6 +224,7 @@ mod tests {
 
     #[test]
     fn bcast_from_zero() {
+        let _serial = crate::test_serial::shared();
         for n in [1, 2, 3, 4, 7, 8] {
             let r = run_mpi(n, |c| {
                 let v = if c.rank() == 0 { Some(99i64) } else { None };
@@ -235,6 +236,7 @@ mod tests {
 
     #[test]
     fn bcast_from_nonzero_root() {
+        let _serial = crate::test_serial::shared();
         let r = run_mpi(5, |c| {
             let v = if c.rank() == 3 {
                 Some("hi".to_string())
@@ -248,6 +250,7 @@ mod tests {
 
     #[test]
     fn scatter_distributes_parts() {
+        let _serial = crate::test_serial::shared();
         let r = run_mpi(4, |c| {
             let parts = if c.rank() == 0 {
                 Some(vec![10, 20, 30, 40])
@@ -261,6 +264,7 @@ mod tests {
 
     #[test]
     fn gather_collects_in_rank_order() {
+        let _serial = crate::test_serial::shared();
         let r = run_mpi(4, |c| gather(&c, 0, c.rank() * 2));
         assert_eq!(r[0], Some(vec![0, 2, 4, 6]));
         assert!(r[1..].iter().all(|x| x.is_none()));
@@ -268,6 +272,7 @@ mod tests {
 
     #[test]
     fn gather_at_nonzero_root() {
+        let _serial = crate::test_serial::shared();
         let r = run_mpi(3, |c| gather(&c, 2, c.rank() as i64));
         assert_eq!(r[2], Some(vec![0, 1, 2]));
         assert!(r[0].is_none() && r[1].is_none());
@@ -275,6 +280,7 @@ mod tests {
 
     #[test]
     fn reduce_sums() {
+        let _serial = crate::test_serial::shared();
         for n in [1, 2, 3, 5, 8] {
             let r = run_mpi(n, |c| reduce(&c, 0, c.rank() as i64 + 1, |a, b| a + b));
             let expected: i64 = (1..=n as i64).sum();
@@ -284,6 +290,7 @@ mod tests {
 
     #[test]
     fn reduce_preserves_rank_order_for_noncommutative_op() {
+        let _serial = crate::test_serial::shared();
         // String concatenation is associative but not commutative.
         let r = run_mpi(4, |c| {
             reduce(&c, 0, c.rank().to_string(), |a, b| format!("{a}{b}"))
@@ -293,6 +300,7 @@ mod tests {
 
     #[test]
     fn barrier_completes() {
+        let _serial = crate::test_serial::shared();
         let r = run_mpi(6, |c| {
             barrier(&c);
             barrier(&c);
@@ -303,6 +311,7 @@ mod tests {
 
     #[test]
     fn allreduce_every_rank_gets_result() {
+        let _serial = crate::test_serial::shared();
         for n in [1, 2, 3, 5, 8] {
             let r = run_mpi(n, |c| allreduce(&c, c.rank() as i64 + 1, |a, b| a + b));
             let expected: i64 = (1..=n as i64).sum();
@@ -312,6 +321,7 @@ mod tests {
 
     #[test]
     fn allreduce_rank_order_for_noncommutative() {
+        let _serial = crate::test_serial::shared();
         let r = run_mpi(4, |c| {
             allreduce(&c, c.rank().to_string(), |a, b| format!("{a}{b}"))
         });
@@ -320,6 +330,7 @@ mod tests {
 
     #[test]
     fn allgather_every_rank_gets_vector() {
+        let _serial = crate::test_serial::shared();
         let r = run_mpi(5, |c| allgather(&c, c.rank() * 10));
         for row in &r {
             assert_eq!(row, &vec![0, 10, 20, 30, 40]);
@@ -328,6 +339,7 @@ mod tests {
 
     #[test]
     fn alltoall_transposes() {
+        let _serial = crate::test_serial::shared();
         // Rank r sends (r, d) to each d; receives (s, r) from each s.
         let r = run_mpi(4, |c| {
             let rank = c.rank();
@@ -342,6 +354,7 @@ mod tests {
 
     #[test]
     fn scatter_then_reduce_roundtrip() {
+        let _serial = crate::test_serial::shared();
         let r = run_mpi(4, |c| {
             let parts = if c.rank() == 0 {
                 Some(vec![vec![1i64, 2], vec![3, 4], vec![5, 6], vec![7, 8]])

@@ -213,6 +213,7 @@ mod tests {
 
     #[test]
     fn three_way_reduce_sums() {
+        let _serial = crate::test_serial::shared();
         let f = NWayReduce::new(3, |a: &i64, b: &i64| a + b);
         let p = plist(27);
         assert_eq!(compute_plist_sequential(&f, &p), 27 * 28 / 2);
@@ -220,6 +221,7 @@ mod tests {
 
     #[test]
     fn arity_degrades_for_awkward_lengths() {
+        let _serial = crate::test_serial::shared();
         let f = NWayReduce::new(3, |a: &i64, b: &i64| a + b);
         // 20 = 2·2·5: levels fall back to 2-way, then a leaf of 5.
         let p = plist(20);
@@ -231,6 +233,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
+        let _serial = crate::test_serial::shared();
         let pool = ForkJoinPool::new(3);
         let f = NWayReduce::new(4, |a: &i64, b: &i64| a + b);
         for n in [1usize, 4, 16, 64, 256, 20, 100] {
@@ -243,6 +246,7 @@ mod tests {
 
     #[test]
     fn noncommutative_order_preserved() {
+        let _serial = crate::test_serial::shared();
         let f = NWayReduce::new(3, |a: &String, b: &String| format!("{a}{b}"));
         let p = PList::from_vec((0..9).map(|i| i.to_string()).collect()).unwrap();
         assert_eq!(compute_plist_sequential(&f, &p), "012345678");
@@ -252,6 +256,7 @@ mod tests {
 
     #[test]
     fn zip_decomposition_commutative_ok() {
+        let _serial = crate::test_serial::shared();
         // With a commutative op, zip regrouping yields the same sum.
         #[derive(Clone)]
         struct ZipSum;
@@ -284,6 +289,7 @@ mod tests {
 
     #[test]
     fn singleton_plist() {
+        let _serial = crate::test_serial::shared();
         let f = NWayReduce::new(3, |a: &i64, b: &i64| a + b);
         assert_eq!(compute_plist_sequential(&f, &plist(1)), 1);
     }

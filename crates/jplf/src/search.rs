@@ -571,6 +571,7 @@ mod tests {
 
     #[test]
     fn quantifiers_agree_with_sequential_under_both_decompositions() {
+        let _serial = crate::test_serial::shared();
         let p = tabulate(1 << 10, |i| (i as i64 * 37) % 1009).unwrap();
         let seq = SequentialExecutor::new();
         let par = fj();
@@ -592,6 +593,7 @@ mod tests {
 
     #[test]
     fn find_first_returns_the_minimal_physical_index_hit() {
+        let _serial = crate::test_serial::shared();
         // v[i] = i % 19: the first multiple-free... matches of `== 7`
         // occur at i = 7, 26, 45, …; find_first must return the value
         // (7) from physical index 7 under both decompositions, even
@@ -611,11 +613,15 @@ mod tests {
 
     #[test]
     fn find_any_returns_some_match_and_records_prunes() {
+        let _serial = crate::test_serial::exclusive();
         let p = tabulate(1 << 12, |i| i as i64).unwrap();
         let exec = ForkJoinExecutor::new(3, 8);
         // Whether subtrees are still pending when Found trips is
         // schedule-dependent (one hardware thread can drain in pure DFS
         // order), so the pruning assertion accepts any of a few runs.
+        // `cancels_found` counts checkpoints that observed the trip; in
+        // an existence search each one prunes its subtree, so it equals
+        // `early_exits` on every schedule (0 and 0 for a last-leaf hit).
         let mut pruned = false;
         for _ in 0..20 {
             let (hit, report) = plobs::recorded(|| {
@@ -626,7 +632,10 @@ mod tests {
                 )
             });
             assert_eq!(hit.unwrap(), Some((1 << 12) - 3));
-            assert!(report.cancels_found >= 1);
+            assert_eq!(
+                report.cancels_found, report.early_exits,
+                "every Found observation prunes one subtree: {report:?}"
+            );
             if report.early_exits >= 1 {
                 pruned = true;
                 break;
@@ -637,6 +646,7 @@ mod tests {
 
     #[test]
     fn panicking_predicate_is_contained() {
+        let _serial = crate::test_serial::shared();
         #[derive(Clone)]
         struct Poison;
         impl PowerSearchFunction for Poison {
@@ -657,6 +667,7 @@ mod tests {
 
     #[test]
     fn shut_down_pool_degrades_to_sequential_scan() {
+        let _serial = crate::test_serial::exclusive();
         let pool = Arc::new(ForkJoinPool::new(1));
         let exec = ForkJoinExecutor::with_pool(Arc::clone(&pool), 16);
         pool.shutdown();

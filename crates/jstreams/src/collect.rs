@@ -779,26 +779,23 @@ fn placement_leaf<T, O, S>(source: &mut S, buf: &dyn OutputBuffer<T, O>, w: Wind
 where
     S: Spliterator<T>,
 {
-    fn fill_strided<T, O, S: Spliterator<T>>(
-        source: &S,
-        buf: &dyn OutputBuffer<T, O>,
-        w: Window,
-    ) -> Option<u64> {
-        let (items, step) = source.try_as_strided()?;
-        Some(buf.fill_run(w, items, step))
-    }
+    // Without a strided run the root gate verified `can_fused_fill`,
+    // which is stable under splits — a refusal here is a driver bug,
+    // and the panic is contained by the session wrapping every leaf.
+    const LOST_FILL: &str = "placement leaf lost its borrowed-fill capability";
     let observe = plobs::enabled();
     let start = if observe { Some(Instant::now()) } else { None };
-    let wrote = match fill_strided(source, buf, w) {
-        Some(n) => n,
-        None => buf.fill_with(w, &mut |sink| {
-            // The root gate verified `can_fused_fill`, which is stable
-            // under splits — a refusal here is a driver bug, and the
-            // panic is contained by the session wrapping every leaf.
-            source
-                .fused_fill(sink)
-                .expect("placement leaf lost its borrowed-fill capability");
-        }),
+    let wrote = if let Some((items, step)) = source.try_as_strided() {
+        buf.fill_run(w, items, step)
+    } else if let Some(mut writer) = buf.writer(w) {
+        // The typed route: the fused chain pushes straight into the
+        // window's slot sink, one monomorphic loop per leaf.
+        source.fused_fill(writer.sink(w.len)).expect(LOST_FILL);
+        writer.count()
+    } else {
+        buf.fill_with(w, &mut |sink| {
+            source.fused_fill(sink).expect(LOST_FILL);
+        })
     };
     source.mark_drained();
     if let Some(start) = start {
@@ -860,7 +857,27 @@ where
     }
     let observe = plobs::enabled();
     let descend_start = if observe { Some(Instant::now()) } else { None };
-    match source.try_split() {
+    // Matched zip→zip: the source splits by parity and the collector
+    // recombines by interleaving, so the element at encounter rank r
+    // lands in slot r whichever way the node is cut. Cutting an
+    // encounter-order block (prefix split + `Concat` window) keeps
+    // that identity and gives every leaf a contiguous input run and a
+    // contiguous output window. A node whose source refuses the block
+    // cut (`HookedZipSpliterator`: its hook is defined on parity
+    // splits) takes its own split and the collector's rule, as do all
+    // mismatched pairings — those are real permutations.
+    let block = if spec.rule == WindowRule::Interleave && spec.unit && !source.prefix_splits() {
+        source.try_split_prefix()
+    } else {
+        None
+    };
+    let rule = if block.is_some() {
+        WindowRule::Concat
+    } else {
+        spec.rule
+    };
+    let node_spec = PlacementSpec { rule, ..spec };
+    match block.or_else(|| source.try_split()) {
         None => session
             .run(|| placement_leaf(&mut source, &*buf, w))
             .map(|_| ()),
@@ -879,8 +896,8 @@ where
             // violated window invariant surfaces as `Panicked`, never
             // as an unwind through the pool.
             let (left_slots, w_left, w_right) = session.run(|| {
-                let left_slots = left_slot_count(&prefix, &*collector, spec, gap_leaf, w);
-                let (w_left, w_right) = descend(w, spec.rule, left_slots, spec.gap);
+                let left_slots = left_slot_count(&prefix, &*collector, node_spec, gap_leaf, w);
+                let (w_left, w_right) = descend(w, rule, left_slots, spec.gap);
                 (left_slots, w_left, w_right)
             })?;
             let c_left = Arc::clone(&collector);
@@ -957,12 +974,14 @@ mod tests {
 
     #[test]
     fn seq_collect_to_vec() {
+        let _serial = crate::test_serial::shared();
         let s = SliceSpliterator::new(vec![1, 2, 3, 4, 5]);
         assert_eq!(collect_seq(s, &VecCollector), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]
     fn par_collect_to_vec_preserves_order() {
+        let _serial = crate::test_serial::shared();
         let p = pool();
         let s = SliceSpliterator::new((0..1000).collect());
         let out = collect_par(&p, s, Arc::new(VecCollector), 16);
@@ -971,6 +990,7 @@ mod tests {
 
     #[test]
     fn par_reduce_matches_seq() {
+        let _serial = crate::test_serial::shared();
         let p = pool();
         let data: Vec<i64> = (1..=100).collect();
         let seq = collect_seq(
@@ -989,6 +1009,7 @@ mod tests {
 
     #[test]
     fn count_collector_parallel() {
+        let _serial = crate::test_serial::shared();
         let p = pool();
         let s = SliceSpliterator::new(vec![0u8; 777]);
         assert_eq!(collect_par(&p, s, Arc::new(CountCollector), 10), 777);
@@ -996,6 +1017,7 @@ mod tests {
 
     #[test]
     fn tie_spliterator_vec_collect_is_identity() {
+        let _serial = crate::test_serial::shared();
         let p = pool();
         let list = tabulate(64, |i| i as i32).unwrap();
         let s = TieSpliterator::over(list.clone());
@@ -1005,6 +1027,7 @@ mod tests {
 
     #[test]
     fn zip_spliterator_with_vec_collector_scrambles() {
+        let _serial = crate::test_serial::shared();
         // Deliberate negative test: zip decomposition + concatenating
         // combiner does NOT reconstruct the source (the Section IV.A
         // observation that motivates zipAll). With leaf_size 1 on length
@@ -1019,6 +1042,7 @@ mod tests {
 
     #[test]
     fn joining_collector_separator_at_merges_only() {
+        let _serial = crate::test_serial::shared();
         let p = pool();
         let words: Vec<String> = ["a", "b", "c", "d"].iter().map(|s| s.to_string()).collect();
         let s = SliceSpliterator::new(words);
@@ -1033,6 +1057,7 @@ mod tests {
 
     #[test]
     fn leaf_size_equal_to_len_is_sequential() {
+        let _serial = crate::test_serial::shared();
         let p = pool();
         let s = SliceSpliterator::new((0..32).collect::<Vec<_>>());
         let out = collect_par(&p, s, Arc::new(VecCollector), 32);
@@ -1041,6 +1066,7 @@ mod tests {
 
     #[test]
     fn default_leaf_size_heuristic() {
+        let _serial = crate::test_serial::shared();
         assert_eq!(default_leaf_size(1 << 20, 8), 1 << 15);
         assert_eq!(default_leaf_size(10, 8), 1);
         assert_eq!(default_leaf_size(0, 4), 1);
@@ -1049,6 +1075,7 @@ mod tests {
 
     #[test]
     fn singleton_source() {
+        let _serial = crate::test_serial::shared();
         let p = pool();
         let s = SliceSpliterator::new(vec![42]);
         assert_eq!(collect_par(&p, s, Arc::new(VecCollector), 1), vec![42]);
@@ -1056,6 +1083,7 @@ mod tests {
 
     #[test]
     fn try_collect_happy_paths_match_collect() {
+        let _serial = crate::test_serial::shared();
         let data: Vec<i64> = (1..=512).collect();
         let seq = try_collect_with(
             SliceSpliterator::new(data.clone()),
@@ -1077,6 +1105,7 @@ mod tests {
 
     #[test]
     fn try_collect_contains_panics_as_errors() {
+        let _serial = crate::test_serial::shared();
         let p = Arc::new(pool());
         let cfg = ExecConfig::par()
             .with_pool(Arc::clone(&p))
@@ -1105,6 +1134,7 @@ mod tests {
 
     #[test]
     fn try_collect_observes_pre_cancelled_token() {
+        let _serial = crate::test_serial::shared();
         let token = forkjoin::CancelToken::new();
         token.cancel(forkjoin::CancelReason::User);
         let err = try_collect_with(
@@ -1118,6 +1148,7 @@ mod tests {
 
     #[test]
     fn try_collect_degrades_to_seq_when_pool_is_shut_down() {
+        let _serial = crate::test_serial::exclusive();
         let p = Arc::new(pool());
         p.shutdown();
         let cfg = ExecConfig::par().with_pool(p).with_leaf_size(4);
@@ -1135,6 +1166,7 @@ mod tests {
 
     #[test]
     fn try_collect_degrades_to_seq_when_saturated() {
+        let _serial = crate::test_serial::exclusive();
         // Wedge a 1-thread pool behind a gate so its backlog exceeds the
         // configured threshold of 0 at submission time.
         let p = Arc::new(ForkJoinPool::new(1));
@@ -1206,6 +1238,7 @@ mod tests {
 
     #[test]
     fn non_sized_estimate_never_drives_the_size_cutoff() {
+        let _serial = crate::test_serial::exclusive();
         // The wrapper's estimate (4096) is an upper bound, not a size.
         // A fixed leaf as large as the whole estimate must NOT make the
         // root a leaf: the driver has to keep splitting to the depth
@@ -1242,6 +1275,7 @@ mod tests {
 
     #[test]
     fn adaptive_min_leaf_ignores_upper_bound_estimates() {
+        let _serial = crate::test_serial::exclusive();
         // With `min_leaf` far above the estimate, a SIZED source stops
         // at the root, while the unsized wrapper of the same data must
         // still split (the cutoff cannot trust an upper bound).
@@ -1279,6 +1313,7 @@ mod tests {
 
     #[test]
     fn submit_race_fallback_recomputes_cap_from_executing_pool() {
+        let _serial = crate::test_serial::exclusive();
         // `try_par_core`'s shutdown-race fallback runs the recursion on
         // this (external) thread, with joins migrating to the global
         // pool. A depth cap captured from the dead 1-thread target pool
@@ -1316,6 +1351,7 @@ mod tests {
 
     #[test]
     fn auto_tuned_collect_calibrates_once_then_hits() {
+        let _serial = crate::test_serial::exclusive();
         let cache = Arc::new(pltune::PlanCache::new());
         let cfg = ExecConfig::par()
             .with_pool(Arc::new(pool()))
@@ -1339,6 +1375,7 @@ mod tests {
 
     #[test]
     fn explicit_policy_bypasses_the_tuner() {
+        let _serial = crate::test_serial::exclusive();
         let cache = Arc::new(pltune::PlanCache::new());
         let cfg = ExecConfig::par()
             .with_pool(Arc::new(pool()))
@@ -1362,6 +1399,7 @@ mod tests {
 
     #[test]
     fn tuner_fingerprints_unsized_pipelines_as_inexact() {
+        let _serial = crate::test_serial::exclusive();
         // Same data, same collector: the SIZED source and its unsized
         // wrapper must occupy distinct cache slots (the `sized` flag is
         // part of the fingerprint), so a plan tuned for an exact size
@@ -1398,6 +1436,7 @@ mod tests {
 
     #[test]
     fn legacy_shim_resumes_contained_panics() {
+        let _serial = crate::test_serial::shared();
         let p = pool();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             collect_par(

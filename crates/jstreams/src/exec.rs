@@ -439,6 +439,7 @@ mod tests {
 
     #[test]
     fn config_defaults_are_parallel_and_unset() {
+        let _serial = crate::test_serial::shared();
         let cfg = ExecConfig::default();
         assert_eq!(cfg.mode(), ExecMode::Par);
         assert!(cfg.pool().is_none());
@@ -453,6 +454,7 @@ mod tests {
 
     #[test]
     fn auto_tune_attaches_a_shared_cache() {
+        let _serial = crate::test_serial::shared();
         let cache = Arc::new(pltune::PlanCache::new());
         let cfg = ExecConfig::par().auto_tune(Arc::clone(&cache));
         assert!(Arc::ptr_eq(cfg.tuner().unwrap(), &cache));
@@ -462,6 +464,7 @@ mod tests {
 
     #[test]
     fn builder_sets_every_knob() {
+        let _serial = crate::test_serial::shared();
         let token = CancelToken::new();
         let cfg = ExecConfig::seq()
             .with_leaf_size(0) // clamped to 1
@@ -482,6 +485,7 @@ mod tests {
 
     #[test]
     fn session_check_observes_token_and_deadline() {
+        let _serial = crate::test_serial::shared();
         let s = ExecSession::default();
         assert!(s.check().is_ok());
         s.token().cancel(CancelReason::User);
@@ -502,6 +506,7 @@ mod tests {
 
     #[test]
     fn session_run_contains_panics_and_trips_token() {
+        let _serial = crate::test_serial::shared();
         let s = ExecSession::default();
         let r = s.run(|| -> i32 { panic!("leaf bang") });
         match r {
@@ -515,6 +520,7 @@ mod tests {
 
     #[test]
     fn merge_prefers_panics() {
+        let _serial = crate::test_serial::shared();
         let p = Interrupt::Panicked(Box::new("x"));
         let c = Interrupt::Cancelled(CancelReason::Panic);
         assert!(matches!(c.merge(p), Interrupt::Panicked(_)));
@@ -528,6 +534,7 @@ mod tests {
 
     #[test]
     fn exec_error_formatting_and_message() {
+        let _serial = crate::test_serial::shared();
         let e = ExecError::Panicked(Box::new("boom"));
         assert_eq!(e.panic_message(), Some("boom"));
         assert!(e.to_string().contains("boom"));
@@ -548,6 +555,7 @@ mod tests {
 
     #[test]
     fn error_of_maps_reasons() {
+        let _serial = crate::test_serial::shared();
         let cfg = ExecConfig::par().with_deadline(Duration::ZERO);
         let s = ExecSession::new(&cfg);
         let i = s.check().unwrap_err();

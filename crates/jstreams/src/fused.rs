@@ -267,6 +267,18 @@ impl<B, S, K, U> FusedSpliterator<B, S, K, U> {
     pub fn chain(&self) -> &K {
         &self.chain
     }
+
+    /// A split-off `source` carrying a clone of this chain.
+    fn with_source(&self, source: S) -> Self
+    where
+        K: Clone,
+    {
+        FusedSpliterator {
+            source,
+            chain: self.chain.clone(),
+            _marker: PhantomData,
+        }
+    }
 }
 
 impl<B, S, K, U> ItemSource<U> for FusedSpliterator<B, S, K, U>
@@ -359,30 +371,33 @@ where
         self.chain.exact() && self.source.try_as_strided().is_some()
     }
 
-    fn fused_fill(&mut self, sink: &mut dyn FnMut(U)) -> Option<u64> {
+    fn fused_fill<F: FnMut(U)>(&mut self, mut sink: F) -> Option<u64>
+    where
+        Self: Sized,
+    {
         if !self.chain.exact() {
             return None;
         }
         let (items, step) = self.source.try_as_strided()?;
         let chain = &self.chain;
-        let mut delivered: u64 = 0;
-        {
-            let mut sink = |u: U| {
-                delivered += 1;
-                sink(u);
-            };
-            if step == 1 {
-                for x in items {
-                    chain.push(x.clone(), &mut sink);
-                }
-            } else {
-                for x in items.iter().step_by(step) {
-                    chain.push(x.clone(), &mut sink);
-                }
+        // An exact chain delivers one element per source element, so
+        // the count is the run's length — no per-element counter.
+        let delivered = if items.is_empty() {
+            0
+        } else {
+            (items.len() - 1) / step + 1
+        };
+        if step == 1 {
+            for x in items {
+                chain.push(x.clone(), &mut sink);
+            }
+        } else {
+            for x in items.iter().step_by(step) {
+                chain.push(x.clone(), &mut sink);
             }
         }
         self.source.mark_drained();
-        Some(delivered)
+        Some(delivered as u64)
     }
 
     fn fused_search(&mut self, visit: &mut dyn FnMut(&U) -> bool) -> Option<(bool, u64)> {
@@ -433,11 +448,12 @@ where
 {
     fn try_split(&mut self) -> Option<Self> {
         let prefix = self.source.try_split()?;
-        Some(FusedSpliterator {
-            source: prefix,
-            chain: self.chain.clone(),
-            _marker: PhantomData,
-        })
+        Some(self.with_source(prefix))
+    }
+
+    fn try_split_prefix(&mut self) -> Option<Self> {
+        let prefix = self.source.try_split_prefix()?;
+        Some(self.with_source(prefix))
     }
 
     fn characteristics(&self) -> Characteristics {

@@ -78,7 +78,7 @@ pub use nway::{
     NWaySpliterator, NZipSpliterator, PListCollector,
 };
 pub use placement::{
-    descend, fixed_leaves, JoiningPlacement, OutputBuffer, PlacementBuf, PlacementSpec,
+    descend, fixed_leaves, JoiningPlacement, OutputBuffer, PlacementBuf, PlacementSpec, RunWriter,
     VecPlacement, Window, WindowRule,
 };
 pub use pltune::{Fingerprint, Plan, PlanCache};
@@ -98,3 +98,23 @@ pub use stream::{stream_support, Stream};
 pub use tie::TieSpliterator;
 pub use truncate::{LimitSpliterator, PeekSpliterator, SkipSpliterator};
 pub use zip::{HookedZipSpliterator, ZipSpliterator};
+
+/// Serialises unit tests around the process-global `plobs` sink: a test
+/// that records a `RunReport` holds [`exclusive`](test_serial::exclusive)
+/// so no concurrently running collect or search leaks events into it;
+/// every other test that runs a driver holds
+/// [`shared`](test_serial::shared).
+#[cfg(test)]
+mod test_serial {
+    use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static LOCK: RwLock<()> = RwLock::new(());
+
+    pub(crate) fn shared() -> RwLockReadGuard<'static, ()> {
+        LOCK.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    pub(crate) fn exclusive() -> RwLockWriteGuard<'static, ()> {
+        LOCK.write().unwrap_or_else(|e| e.into_inner())
+    }
+}

@@ -413,6 +413,7 @@ mod tests {
 
     #[test]
     fn ntie_splits_into_blocks() {
+        let _serial = crate::test_serial::shared();
         let s = NTieSpliterator::over(plist(9));
         let mut parts = s.try_split_n(3).ok().unwrap();
         assert_eq!(parts.len(), 3);
@@ -423,6 +424,7 @@ mod tests {
 
     #[test]
     fn nzip_splits_into_residues() {
+        let _serial = crate::test_serial::shared();
         let s = NZipSpliterator::over(plist(9));
         let mut parts = s.try_split_n(3).ok().unwrap();
         assert_eq!(drain(&mut parts[0]), vec![0, 3, 6]);
@@ -432,6 +434,7 @@ mod tests {
 
     #[test]
     fn nested_nway_splits() {
+        let _serial = crate::test_serial::shared();
         // 3-way zip then 2-way zip of a part: residues mod 6.
         let s = NZipSpliterator::over(plist(36));
         let parts = s.try_split_n(3).ok().unwrap();
@@ -444,6 +447,7 @@ mod tests {
 
     #[test]
     fn indivisible_split_is_rejected() {
+        let _serial = crate::test_serial::shared();
         let s = NTieSpliterator::over(plist(10));
         let back = s.try_split_n(3).err().expect("10 not divisible by 3");
         assert_eq!(back.estimate_size(), 10);
@@ -453,6 +457,7 @@ mod tests {
 
     #[test]
     fn identity_collect_tie() {
+        let _serial = crate::test_serial::shared();
         let pool = ForkJoinPool::new(2);
         let p = plist(27);
         let out = collect_nway_par(
@@ -467,6 +472,7 @@ mod tests {
 
     #[test]
     fn identity_collect_zip() {
+        let _serial = crate::test_serial::shared();
         let pool = ForkJoinPool::new(3);
         let p = plist(27);
         let out = collect_nway_par(
@@ -481,6 +487,7 @@ mod tests {
 
     #[test]
     fn identity_collect_mixed_arities() {
+        let _serial = crate::test_serial::shared();
         // Length 36 = 3 × 3 × 4: split 3-ways until leaves of 4.
         let pool = ForkJoinPool::new(2);
         let p = plist(36);
@@ -496,6 +503,7 @@ mod tests {
 
     #[test]
     fn sequential_collect_matches() {
+        let _serial = crate::test_serial::shared();
         let p = plist(12);
         let out = collect_nway_seq(
             NTieSpliterator::over(p.clone()),
@@ -506,6 +514,7 @@ mod tests {
 
     #[test]
     fn mismatched_combiner_scrambles() {
+        let _serial = crate::test_serial::shared();
         // zip-split + tie-combine permutes, like the binary case.
         let pool = ForkJoinPool::new(2);
         let p = plist(9);
@@ -522,6 +531,7 @@ mod tests {
 
     #[test]
     fn leaf_size_larger_than_input() {
+        let _serial = crate::test_serial::shared();
         let pool = ForkJoinPool::new(2);
         let p = plist(5);
         let out = collect_nway_par(

@@ -35,7 +35,16 @@
 //!   the record survive a panicking element clone), so dropping a
 //!   poisoned buffer frees only initialised slots and
 //!   [`PlacementBuf::finish_vec`] refuses to assemble an output unless
-//!   every slot was written exactly once.
+//!   every slot was written exactly once. Identity buffers also hand
+//!   out a typed [`RunWriter`] ([`OutputBuffer::writer`]), so a fused
+//!   leaf fills its window in one monomorphic, once-bounds-checked loop.
+//!
+//! When the source splits by parity and the collector recombines by
+//! interleaving (zip→zip), the two cancel: the element at encounter
+//! rank `r` lands in slot `r`. The driver then cuts encounter-order
+//! blocks ([`Spliterator::try_split_prefix`](crate::Spliterator::try_split_prefix))
+//! with [`WindowRule::Concat`] windows instead of parity classes — same
+//! output, but every leaf reads and writes one contiguous run.
 //!
 //! # Safety contract
 //!
@@ -88,7 +97,10 @@ pub enum WindowRule {
     /// (tie recomposition, joining, the FFT butterfly halves).
     Concat,
     /// `combine` interleaves element-wise: left takes the even parity,
-    /// right the odd (zip recomposition). Requires equal halves.
+    /// right the odd (zip recomposition). Requires equal halves. Over a
+    /// parity-splitting source the driver may descend `Concat` blocks
+    /// instead (see the module docs), so a buffer for this rule must
+    /// write leaf elements unchanged and keep its `combine` a no-op.
     Interleave,
 }
 
@@ -192,16 +204,35 @@ pub fn fixed_leaves(m: usize, leaf_size: usize) -> usize {
 /// so exclusive ownership can never be assumed — interior mutability
 /// plus the disjoint-window contract stand in for `&mut`.
 pub trait OutputBuffer<T, O>: Send + Sync {
+    /// A typed writer over `w` when one input element lands unchanged
+    /// in one slot (the identity buffers behind `Vec` and PowerList
+    /// collects): leaves then fill the window through monomorphic
+    /// [`RunWriter`] loops instead of the dynamic
+    /// [`OutputBuffer::fill_with`] sink.
+    /// `None` for buffers that transform what leaves deliver (the FFT,
+    /// joining's bytes); those override [`OutputBuffer::fill_with`].
+    fn writer(&self, w: Window) -> Option<RunWriter<'_, T>>;
+
     /// Writes the borrowed strided run (`items[0], items[step], …`,
     /// last element always included) into `w`, one logical element per
     /// slot in window order. Returns the number of elements written.
+    /// (Required: cloning the borrowed run needs `T: Clone`, which only
+    /// the implementations know.)
     fn fill_run(&self, w: Window, items: &[T], step: usize) -> u64;
 
     /// Writes a pushed stream of elements into `w`: `drive` is called
     /// once with a sink and must push every element of the leaf into
-    /// it (the fused-chain leaf route). Returns the number written.
+    /// it. Returns the number written. The default sinks into
+    /// [`OutputBuffer::writer`]; the driver only comes here for buffers
+    /// without one.
     #[allow(clippy::type_complexity)]
-    fn fill_with(&self, w: Window, drive: &mut dyn FnMut(&mut dyn FnMut(T))) -> u64;
+    fn fill_with(&self, w: Window, drive: &mut dyn FnMut(&mut dyn FnMut(T))) -> u64 {
+        let mut writer = self
+            .writer(w)
+            .expect("a buffer without a typed writer must override fill_with");
+        drive(&mut writer.sink(w.len));
+        writer.count()
+    }
 
     /// The ascend-phase step for the merge of `parent`'s two children,
     /// of which the left occupied `left_slots` slots. A no-op for plain
@@ -280,23 +311,35 @@ impl<S> PlacementBuf<S> {
     #[allow(clippy::type_complexity)]
     pub fn write(&self, w: Window, produce: &mut dyn FnMut(&mut dyn FnMut(S))) -> u64 {
         let mut writer = self.writer(w);
-        produce(&mut |x: S| writer.push(x));
+        produce(&mut writer.sink(w.len));
         writer.count()
     }
 
     /// An incremental writer over `w` for monomorphic leaf kernels: the
-    /// bulk [`RunWriter::push_run`] path skips the per-element dynamic
-    /// dispatch that [`PlacementBuf::write`]'s sink pays, which is what
-    /// makes the placement leaf competitive with a splicing `memcpy`
-    /// leaf. The written prefix is recorded when the writer drops —
-    /// including a panic unwind — so teardown drops exactly the
-    /// initialised cells.
+    /// bulk [`RunWriter::push_run`] and [`RunWriter::sink`] paths skip
+    /// the per-element dynamic dispatch that [`PlacementBuf::write`]'s
+    /// sink pays, which is what makes the placement leaf competitive
+    /// with a splicing `memcpy` leaf. The written prefix is recorded
+    /// when the writer drops — including a panic unwind — so teardown
+    /// drops exactly the initialised cells.
     pub fn writer(&self, w: Window) -> RunWriter<'_, S> {
         RunWriter {
             buf: self,
             w,
             written: 0,
         }
+    }
+
+    /// Clones the strided run `items[0], items[step], …` into `w` and
+    /// returns the count — the [`OutputBuffer::fill_run`] body of the
+    /// identity buffers.
+    pub fn fill_run(&self, w: Window, items: &[S], step: usize) -> u64
+    where
+        S: Clone,
+    {
+        let mut writer = self.writer(w);
+        writer.push_run(items, step);
+        writer.count()
     }
 
     /// Read-modify-write over a **contiguous** window (`w.step == 1`)
@@ -373,34 +416,6 @@ pub struct RunWriter<'a, S> {
 }
 
 impl<S> RunWriter<'_, S> {
-    /// Moves one element into the window's next slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the window is already full or reaches outside the
-    /// allocation.
-    #[inline]
-    pub fn push(&mut self, x: S) {
-        let j = self.written;
-        assert!(
-            j < self.w.len,
-            "placement window overflow: window holds {} slots",
-            self.w.len
-        );
-        let idx = self.w.base + j * self.w.step;
-        assert!(
-            idx < self.buf.slots,
-            "placement window out of bounds: slot {idx} of {}",
-            self.buf.slots
-        );
-        // SAFETY: `idx` is in bounds (asserted) and, by the
-        // disjoint-window contract, no other thread touches this slot;
-        // raw-pointer write, so no `&mut` over the whole allocation is
-        // ever materialised.
-        unsafe { self.buf.ptr.add(idx).write(MaybeUninit::new(x)) };
-        self.written = j + 1;
-    }
-
     /// Clones every `step`-th element of `items` into the window's next
     /// slots — the bulk leaf path, bounds-checked once up front so the
     /// copy loop carries no per-element dispatch.
@@ -417,6 +432,58 @@ impl<S> RunWriter<'_, S> {
         } else {
             (items.len() - 1) / step + 1
         };
+        let (dst, stride, mut guard) = self.reserve(n);
+        if stride == 1 && step == 1 {
+            for (j, x) in items.iter().enumerate() {
+                // SAFETY: `reserve` checked the `n` slots from `dst`;
+                // `j < n`.
+                unsafe { dst.add(j).write(MaybeUninit::new(x.clone())) };
+                guard.done = j + 1;
+            }
+        } else {
+            for (j, x) in items.iter().step_by(step).enumerate() {
+                // SAFETY: as above, with the window's stride.
+                unsafe { dst.add(j * stride).write(MaybeUninit::new(x.clone())) };
+                guard.done = j + 1;
+            }
+        }
+    }
+
+    /// A typed sink over the window's next `n` slots — the bulk entry
+    /// for pushed leaves (a fused chain's `fused_fill`). The run is
+    /// bounds-checked once here; the sink only compares its progress
+    /// count against `n`, so a monomorphic producer inlines it into one
+    /// store loop. Dropping the sink — on a panic unwind too — records
+    /// exactly the slots it initialised.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n` slots do not fit the window's remaining slots;
+    /// the sink panics on an `n + 1`-th element.
+    pub fn sink(&mut self, n: usize) -> impl FnMut(S) + '_ {
+        let (dst, stride, mut guard) = self.reserve(n);
+        move |x: S| {
+            // Use the whole guard: a closure naming only `guard.done`
+            // would capture a copy of that field and drop the guard —
+            // and its write-back — right here.
+            let guard = &mut guard;
+            let j = guard.done;
+            assert!(j < n, "placement window overflow: run holds {n} slots");
+            // SAFETY: `reserve` checked the `n` slots from `dst`;
+            // `j < n`.
+            unsafe { dst.add(j * stride).write(MaybeUninit::new(x)) };
+            guard.done = j + 1;
+        }
+    }
+
+    /// Bounds-checks the next `n` slots once and hands back their first
+    /// cell, the window stride, and a progress guard. The guard keeps
+    /// the per-element count in a local (the buffer holds a mutex, so
+    /// `self.buf.ptr` read through `&self` cannot be hoisted out of a
+    /// loop — and a per-element `self.written += 1` store blocks the
+    /// memcpy idiom); its `Drop`, on a panic too, adds the exact
+    /// initialised prefix to `self.written`.
+    fn reserve(&mut self, n: usize) -> (*mut MaybeUninit<S>, usize, PrefixGuard<'_>) {
         assert!(
             self.written + n <= self.w.len,
             "placement window overflow: window holds {} slots",
@@ -430,50 +497,36 @@ impl<S> RunWriter<'_, S> {
                 self.buf.slots
             );
         }
-        let base = self.w.base + self.written * self.w.step;
-        // The write-back guard keeps the per-element progress count in
-        // a register (the buffer holds a mutex, so `self.buf.ptr` read
-        // through `&self` cannot be hoisted out of the loop by the
-        // compiler — and a per-element `self.written += 1` store blocks
-        // the memcpy idiom). On a panicking clone the guard's `Drop`
-        // still lands the exact initialised prefix in `self.written`.
-        struct PrefixGuard<'a> {
-            written: &'a mut usize,
-            done: usize,
-        }
-        impl Drop for PrefixGuard<'_> {
-            fn drop(&mut self) {
-                *self.written += self.done;
-            }
-        }
-        // SAFETY: `base` plus the run extent is in bounds (asserted
-        // above); by the disjoint-window contract no other thread
-        // touches these slots, and the raw pointer never materialises a
-        // `&mut` over the whole allocation.
-        let dst = unsafe { self.buf.ptr.add(base) };
-        let stride = self.w.step;
-        let mut guard = PrefixGuard {
+        // In bounds whenever `n > 0` (asserted above); by the
+        // disjoint-window contract no other thread touches these slots,
+        // and the raw pointer never materialises a `&mut` over the
+        // whole allocation.
+        let dst = self
+            .buf
+            .ptr
+            .wrapping_add(self.w.base + self.written * self.w.step);
+        let guard = PrefixGuard {
             written: &mut self.written,
             done: 0,
         };
-        if stride == 1 && step == 1 {
-            for (j, x) in items.iter().enumerate() {
-                // SAFETY: see `dst` above; `j < n` keeps it in bounds.
-                unsafe { dst.add(j).write(MaybeUninit::new(x.clone())) };
-                guard.done = j + 1;
-            }
-        } else {
-            for (j, x) in items.iter().step_by(step).enumerate() {
-                // SAFETY: as above, with the window's stride.
-                unsafe { dst.add(j * stride).write(MaybeUninit::new(x.clone())) };
-                guard.done = j + 1;
-            }
-        }
+        (dst, self.w.step, guard)
     }
 
     /// Elements written so far.
     pub fn count(&self) -> u64 {
         self.written as u64
+    }
+}
+
+/// Write-back of a bulk run's progress: see [`RunWriter::reserve`].
+struct PrefixGuard<'a> {
+    written: &'a mut usize,
+    done: usize,
+}
+
+impl Drop for PrefixGuard<'_> {
+    fn drop(&mut self) {
+        *self.written += self.done;
     }
 }
 
@@ -537,14 +590,12 @@ impl<T> VecPlacement<T> {
 }
 
 impl<T: Clone + Send + 'static> OutputBuffer<T, Vec<T>> for VecPlacement<T> {
-    fn fill_run(&self, w: Window, items: &[T], step: usize) -> u64 {
-        let mut writer = self.buf.writer(w);
-        writer.push_run(items, step);
-        writer.count()
+    fn writer(&self, w: Window) -> Option<RunWriter<'_, T>> {
+        Some(self.buf.writer(w))
     }
 
-    fn fill_with(&self, w: Window, drive: &mut dyn FnMut(&mut dyn FnMut(T))) -> u64 {
-        self.buf.write(w, drive)
+    fn fill_run(&self, w: Window, items: &[T], step: usize) -> u64 {
+        self.buf.fill_run(w, items, step)
     }
 
     fn combine(&self, _parent: Window, _left_slots: usize) {}
@@ -575,6 +626,11 @@ impl JoiningPlacement {
 }
 
 impl OutputBuffer<String, String> for JoiningPlacement {
+    // Slots are bytes, not strings: no typed writer.
+    fn writer(&self, _w: Window) -> Option<RunWriter<'_, String>> {
+        None
+    }
+
     fn fill_run(&self, w: Window, items: &[String], step: usize) -> u64 {
         assert_eq!(w.step, 1, "joining windows are contiguous byte runs");
         let mut writer = self.buf.writer(w);

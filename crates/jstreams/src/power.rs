@@ -4,7 +4,9 @@
 
 use crate::characteristics::Characteristics;
 use crate::collector::Collector;
-use crate::placement::{self, OutputBuffer, PlacementBuf, PlacementSpec, Window, WindowRule};
+use crate::placement::{
+    self, OutputBuffer, PlacementBuf, PlacementSpec, RunWriter, Window, WindowRule,
+};
 use crate::spliterator::{ItemSource, LeafAccess, Spliterator};
 use crate::stream::{stream_support, Stream};
 use crate::tie::TieSpliterator;
@@ -108,6 +110,13 @@ impl<T: Clone + Send + Sync> Spliterator<T> for PowerSpliterator<T> {
         }
     }
 
+    fn try_split_prefix(&mut self) -> Option<Self> {
+        match self {
+            PowerSpliterator::Tie(s) => s.try_split_prefix().map(PowerSpliterator::Tie),
+            PowerSpliterator::Zip(s) => s.try_split_prefix().map(PowerSpliterator::Zip),
+        }
+    }
+
     fn encounter_rank(&self) -> Option<(usize, usize)> {
         match self {
             PowerSpliterator::Tie(s) => s.encounter_rank(),
@@ -154,14 +163,12 @@ struct PowerPlacement<T> {
 }
 
 impl<T: Clone + Send + 'static> OutputBuffer<T, PowerArray<T>> for PowerPlacement<T> {
-    fn fill_run(&self, w: Window, items: &[T], step: usize) -> u64 {
-        let mut writer = self.buf.writer(w);
-        writer.push_run(items, step);
-        writer.count()
+    fn writer(&self, w: Window) -> Option<RunWriter<'_, T>> {
+        Some(self.buf.writer(w))
     }
 
-    fn fill_with(&self, w: Window, drive: &mut dyn FnMut(&mut dyn FnMut(T))) -> u64 {
-        self.buf.write(w, drive)
+    fn fill_run(&self, w: Window, items: &[T], step: usize) -> u64 {
+        self.buf.fill_run(w, items, step)
     }
 
     fn combine(&self, _parent: Window, _left_slots: usize) {}
@@ -357,6 +364,7 @@ mod tests {
 
     #[test]
     fn identity_collect_zip_reproduces_source() {
+        let _serial = crate::test_serial::shared();
         // The paper's verification example: ZipSpliterator + zipAll.
         let p = list(64);
         let s = power_stream(p.clone(), Decomposition::Zip).with_leaf_size(1);
@@ -366,6 +374,7 @@ mod tests {
 
     #[test]
     fn identity_collect_tie_reproduces_source() {
+        let _serial = crate::test_serial::shared();
         let p = list(64);
         let s = power_stream(p.clone(), Decomposition::Tie).with_leaf_size(4);
         let out = collect_powerlist(s, Decomposition::Tie).unwrap();
@@ -374,6 +383,7 @@ mod tests {
 
     #[test]
     fn identity_collect_sequential_also_works() {
+        let _serial = crate::test_serial::shared();
         let p = list(32);
         let s = power_stream(p.clone(), Decomposition::Zip).sequential();
         let out = collect_powerlist(s, Decomposition::Zip).unwrap();
@@ -382,6 +392,7 @@ mod tests {
 
     #[test]
     fn mismatched_decomposition_scrambles() {
+        let _serial = crate::test_serial::shared();
         // Splitting by zip but recombining by tie yields inv (bit
         // reversal) when split to singletons — the algebraic reason the
         // combiner must match the spliterator.
@@ -394,6 +405,7 @@ mod tests {
 
     #[test]
     fn map_collector_applies_function() {
+        let _serial = crate::test_serial::shared();
         let p = list(16);
         let s = power_stream(p.clone(), Decomposition::Zip).with_leaf_size(2);
         let out = s.collect(PowerMapCollector::new(Decomposition::Zip, |x: i64| x * x));
@@ -403,6 +415,7 @@ mod tests {
 
     #[test]
     fn filter_breaks_power2_contract() {
+        let _serial = crate::test_serial::shared();
         let p = list(16);
         let s = power_stream(p, Decomposition::Tie).filter(|x| *x > 0);
         let err = collect_powerlist(s, Decomposition::Tie).unwrap_err();
@@ -411,6 +424,7 @@ mod tests {
 
     #[test]
     fn map_keeps_power2_contract() {
+        let _serial = crate::test_serial::shared();
         let p = list(16);
         let s = power_stream(p, Decomposition::Zip).map(|x| x + 1);
         let out = collect_powerlist(s, Decomposition::Zip).unwrap();
@@ -420,6 +434,7 @@ mod tests {
 
     #[test]
     fn various_leaf_sizes_agree() {
+        let _serial = crate::test_serial::shared();
         let p = list(128);
         for leaf in [1usize, 2, 8, 32, 128] {
             let s = power_stream(p.clone(), Decomposition::Zip).with_leaf_size(leaf);
@@ -430,6 +445,7 @@ mod tests {
 
     #[test]
     fn singleton_powerlist_roundtrip() {
+        let _serial = crate::test_serial::shared();
         let p = PowerList::singleton(5i64);
         let s = power_stream(p.clone(), Decomposition::Zip);
         assert_eq!(collect_powerlist(s, Decomposition::Zip).unwrap(), p);
@@ -437,6 +453,7 @@ mod tests {
 
     #[test]
     fn try_collect_powerlist_routes_shape_and_exec_errors() {
+        let _serial = crate::test_serial::shared();
         use crate::{ExecConfig, ExecError};
         // Happy path matches the infallible entry point.
         let p = list(32);

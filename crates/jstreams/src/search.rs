@@ -1009,6 +1009,7 @@ mod tests {
 
     #[test]
     fn any_match_agrees_across_modes_and_needle_positions() {
+        let _serial = crate::test_serial::shared();
         for needle in [0i64, 1000, 4095, -1] {
             let seq =
                 try_any_match_with(ints(4096), move |x| *x == needle, &ExecConfig::seq()).unwrap();
@@ -1020,6 +1021,7 @@ mod tests {
 
     #[test]
     fn all_and_none_match_quantify_correctly() {
+        let _serial = crate::test_serial::shared();
         let cfg = par_cfg(32);
         assert!(try_all_match_with(ints(512), |x| *x >= 0, &cfg).unwrap());
         assert!(!try_all_match_with(ints(512), |x| *x < 511, &cfg).unwrap());
@@ -1032,6 +1034,7 @@ mod tests {
 
     #[test]
     fn find_first_is_minimal_in_encounter_order() {
+        let _serial = crate::test_serial::shared();
         // Ascending data: the first element ≥ 1000 is 1000 itself.
         let src = stream_support(ints(4096), true)
             .filter(|x: &i64| *x >= 1000)
@@ -1048,6 +1051,7 @@ mod tests {
 
     #[test]
     fn find_any_returns_some_matching_element() {
+        let _serial = crate::test_serial::shared();
         let src = stream_support(ints(4096), true)
             .filter(|x: &i64| x % 7 == 0)
             .into_spliterator();
@@ -1061,13 +1065,17 @@ mod tests {
 
     #[test]
     fn late_needle_prunes_leaves_and_counts_found_cancels() {
+        let _serial = crate::test_serial::exclusive();
         // Needle deep in the suffix: by the time a leaf hits it, left
         // siblings are done but *later* leaves must observe Found and
         // record EarlyExit prunes. Whether any subtree is still pending
         // at trip time is schedule-dependent (a single hardware thread
         // can drain leaves in pure DFS order), so the pruning half of
         // the assertion retries a few recorded runs — it must hold on
-        // at least one schedule, while the Found counter holds on all.
+        // at least one schedule. `cancels_found` counts checkpoints that
+        // observed the trip, and in an existence search each of them
+        // prunes its subtree, so it equals `early_exits` on *every*
+        // schedule (both are 0 when the hit lands in the last leaf).
         // (100 retries: under full-suite load a 1-CPU box can drain in
         // DFS order for many consecutive runs.)
         let cfg = par_cfg(16);
@@ -1077,7 +1085,10 @@ mod tests {
                 try_any_match_with(ints(1 << 14), |x| *x == (1 << 14) - 5, &cfg)
             });
             assert!(hit.unwrap());
-            assert!(report.cancels_found >= 1);
+            assert_eq!(
+                report.cancels_found, report.early_exits,
+                "every Found observation prunes one subtree: {report:?}"
+            );
             if report.early_exits >= 1 && report.leaves_pruned >= 1 {
                 pruned = true;
                 break;
@@ -1091,6 +1102,7 @@ mod tests {
 
     #[test]
     fn absent_needle_scans_everything_without_prunes() {
+        let _serial = crate::test_serial::exclusive();
         let cfg = par_cfg(64);
         let (hit, report) = plobs::recorded(|| try_any_match_with(ints(4096), |x| *x < 0, &cfg));
         assert!(!hit.unwrap());
@@ -1105,6 +1117,7 @@ mod tests {
 
     #[test]
     fn fused_pipelines_search_over_borrowed_runs() {
+        let _serial = crate::test_serial::exclusive();
         let cfg = par_cfg(64);
         let (hit, report) = plobs::recorded(|| {
             let src = stream_support(ints(4096), true)
@@ -1125,6 +1138,7 @@ mod tests {
 
     #[test]
     fn predicate_panic_surfaces_as_exec_error() {
+        let _serial = crate::test_serial::shared();
         let cfg = par_cfg(32);
         let err = try_any_match_with(
             ints(1024),
@@ -1142,6 +1156,7 @@ mod tests {
 
     #[test]
     fn found_never_trips_the_callers_token() {
+        let _serial = crate::test_serial::shared();
         let token = CancelToken::new();
         let cfg = par_cfg(16).with_cancel_token(token.clone());
         assert!(try_any_match_with(ints(4096), |x| *x == 9, &cfg).unwrap());
@@ -1157,6 +1172,7 @@ mod tests {
 
     #[test]
     fn ranked_zip_recursion_finds_minimal_physical_index() {
+        let _serial = crate::test_serial::shared();
         // Exercises the Ranked keyspace below the root probe: the
         // recursion runs directly over a zip spliterator (interleaving
         // parity splits) with single-element leaves, and the FirstHit
@@ -1194,6 +1210,7 @@ mod tests {
 
     #[test]
     fn zip_find_first_degrades_to_encounter_order_scan() {
+        let _serial = crate::test_serial::shared();
         // Public-API regression for the same hazard: a filtered zip
         // power stream is opaque (interleaving splits, no ranks), so
         // parallel find_first must take the guarded sequential scan and
@@ -1214,6 +1231,7 @@ mod tests {
 
     #[test]
     fn caller_token_found_reason_is_demoted_to_cancellation() {
+        let _serial = crate::test_serial::shared();
         // A caller token that already carries Found (reused from some
         // earlier search) must cancel this run, not masquerade as its
         // answered state.
@@ -1226,6 +1244,7 @@ mod tests {
 
     #[test]
     fn first_hit_cell_keeps_the_minimum() {
+        let _serial = crate::test_serial::shared();
         let cell = FirstHit::new();
         assert_eq!(cell.bound(), usize::MAX);
         assert!(!cell.prunes(0));

@@ -133,7 +133,14 @@ pub trait LeafAccess<T> {
     /// precondition [`LeafAccess::can_fused_fill`] advertises. `None`
     /// declines the route (the default). Implementations must leave
     /// `self` drained on success.
-    fn fused_fill(&mut self, _sink: &mut dyn FnMut(T)) -> Option<u64> {
+    ///
+    /// Generic over the sink so the chain and the placement window's
+    /// typed slot sink inline into one loop; `&mut dyn FnMut(T)` still
+    /// works as a sink where a dynamic one is needed.
+    fn fused_fill<F: FnMut(T)>(&mut self, _sink: F) -> Option<u64>
+    where
+        Self: Sized,
+    {
         None
     }
 }
@@ -166,6 +173,27 @@ pub trait Spliterator<T>: ItemSource<T> + LeafAccess<T> + Send + Sized {
     /// back to an ordered sequential scan.
     fn prefix_splits(&self) -> bool {
         true
+    }
+
+    /// Splits off an encounter-order **prefix** of about half the
+    /// remaining elements, leaving `self` with the suffix — even when
+    /// [`Spliterator::try_split`] interleaves. `None` when the source
+    /// is too small or cannot cut prefixes. The default is `try_split`
+    /// for prefix-splitting sources and `None` otherwise.
+    ///
+    /// Placement collects use it on interleaving sources collected by
+    /// an interleaving combiner: there the zip split and the zip
+    /// recombination cancel out, so the tree can be cut into
+    /// encounter-order blocks instead. An interleaving source that
+    /// overrides this therefore promises that its `try_split` is the
+    /// parity split (even positions to the returned half), and that
+    /// both halves answer `try_split_prefix` in turn.
+    fn try_split_prefix(&mut self) -> Option<Self> {
+        if self.prefix_splits() {
+            self.try_split()
+        } else {
+            None
+        }
     }
 
     /// Exact encounter-order locator for the remaining elements:

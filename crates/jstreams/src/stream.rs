@@ -521,18 +521,21 @@ mod tests {
 
     #[test]
     fn sequential_to_vec() {
+        let _serial = crate::test_serial::shared();
         let v = stream_support(ints(10), false).to_vec();
         assert_eq!(v, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn parallel_to_vec_ordered() {
+        let _serial = crate::test_serial::shared();
         let v = stream_support(ints(500), true).to_vec();
         assert_eq!(v, (0..500).collect::<Vec<_>>());
     }
 
     #[test]
     fn map_filter_reduce_pipeline() {
+        let _serial = crate::test_serial::shared();
         let r = stream_support(ints(100), true)
             .map(|x| x * 2)
             .filter(|x| x % 4 == 0)
@@ -543,6 +546,7 @@ mod tests {
 
     #[test]
     fn sequential_and_parallel_agree() {
+        let _serial = crate::test_serial::shared();
         let seq = stream_support(ints(1000), false)
             .map(|x| x * x % 7)
             .reduce(0, |a, b| a + b);
@@ -554,6 +558,7 @@ mod tests {
 
     #[test]
     fn count_after_filter() {
+        let _serial = crate::test_serial::shared();
         let c = stream_support(ints(100), true)
             .filter(|x| x % 3 == 0)
             .count();
@@ -562,6 +567,7 @@ mod tests {
 
     #[test]
     fn for_each_visits_everything() {
+        let _serial = crate::test_serial::shared();
         let hits = Arc::new(AtomicUsize::new(0));
         let h = Arc::clone(&hits);
         stream_support(ints(256), true).for_each(move |_| {
@@ -572,6 +578,7 @@ mod tests {
 
     #[test]
     fn mode_toggles() {
+        let _serial = crate::test_serial::shared();
         let s = stream_support(ints(4), false);
         assert!(!s.is_parallel());
         let s = s.parallel();
@@ -582,6 +589,7 @@ mod tests {
 
     #[test]
     fn pinned_pool_is_used() {
+        let _serial = crate::test_serial::shared();
         let pool = Arc::new(ForkJoinPool::new(2));
         let before = pool.metrics();
         let v = stream_support(ints(512), true)
@@ -595,6 +603,7 @@ mod tests {
 
     #[test]
     fn limit_and_skip_pipeline() {
+        let _serial = crate::test_serial::shared();
         let v = stream_support(ints(100), true).skip(10).limit(5).to_vec();
         assert_eq!(v, vec![10, 11, 12, 13, 14]);
         let v = stream_support(ints(100), false).limit(3).to_vec();
@@ -603,6 +612,7 @@ mod tests {
 
     #[test]
     fn peek_counts_elements() {
+        let _serial = crate::test_serial::shared();
         let n = Arc::new(AtomicUsize::new(0));
         let n2 = Arc::clone(&n);
         let v = stream_support(ints(64), true)
@@ -616,6 +626,7 @@ mod tests {
 
     #[test]
     fn min_max_terminals() {
+        let _serial = crate::test_serial::shared();
         assert_eq!(stream_support(ints(100), true).min(), Some(0));
         assert_eq!(stream_support(ints(100), true).max(), Some(99));
         // Empty after an over-aggressive skip:
@@ -627,6 +638,7 @@ mod tests {
 
     #[test]
     fn adaptive_policy_agrees_with_fixed() {
+        let _serial = crate::test_serial::shared();
         let fixed = stream_support(ints(1000), true)
             .with_leaf_size(16)
             .map(|x| x * 3)
@@ -640,6 +652,7 @@ mod tests {
 
     #[test]
     fn try_collect_uses_passed_config() {
+        let _serial = crate::test_serial::shared();
         // The passed config replaces the stream's own (parallel) one.
         let sum = stream_support(ints(100), true)
             .map(|x| x + 1)
@@ -650,6 +663,7 @@ mod tests {
 
     #[test]
     fn with_exec_config_replaces_knobs() {
+        let _serial = crate::test_serial::shared();
         let s = stream_support(ints(8), true).with_exec_config(ExecConfig::seq());
         assert!(!s.is_parallel());
         let s = s.parallel();
@@ -659,6 +673,7 @@ mod tests {
 
     #[test]
     fn with_auto_tuning_threads_the_cache_through_collects() {
+        let _serial = crate::test_serial::exclusive();
         // One shared cache across two stream runs of the same pipeline
         // shape: the first calibrates, the second hits. A fused
         // map-over-slice pipeline exercises the fingerprint's adapter
@@ -679,6 +694,7 @@ mod tests {
 
     #[test]
     fn power2_characteristic_flows_through_map() {
+        let _serial = crate::test_serial::shared();
         let z = ZipSpliterator::over(tabulate(8, |i| i as i64).unwrap());
         let s = stream_support(z, true).map(|x| x + 1);
         assert!(s.characteristics().contains(Characteristics::POWER2));

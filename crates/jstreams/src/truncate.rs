@@ -265,6 +265,7 @@ mod tests {
 
     #[test]
     fn limit_truncates() {
+        let _serial = crate::test_serial::shared();
         let mut s = LimitSpliterator::new(SliceSpliterator::new((0..10).collect::<Vec<_>>()), 4);
         assert_eq!(s.estimate_size(), 4);
         assert_eq!(drain(&mut s), vec![0, 1, 2, 3]);
@@ -272,6 +273,7 @@ mod tests {
 
     #[test]
     fn limit_longer_than_source() {
+        let _serial = crate::test_serial::shared();
         let mut s = LimitSpliterator::new(SliceSpliterator::new(vec![1, 2]), 10);
         assert_eq!(s.estimate_size(), 2);
         assert_eq!(drain(&mut s), vec![1, 2]);
@@ -279,6 +281,7 @@ mod tests {
 
     #[test]
     fn limit_zero_is_empty() {
+        let _serial = crate::test_serial::shared();
         let mut s = LimitSpliterator::new(SliceSpliterator::new(vec![1, 2]), 0);
         assert_eq!(s.estimate_size(), 0);
         assert!(drain(&mut s).is_empty());
@@ -286,6 +289,7 @@ mod tests {
 
     #[test]
     fn limit_split_preserves_prefix_semantics() {
+        let _serial = crate::test_serial::shared();
         // limit 5 over [0..8): prefix [0..4) gets allowance 4, suffix 1.
         let mut s = LimitSpliterator::new(TieSpliterator::over(tabulate(8, |i| i).unwrap()), 5);
         let mut prefix = s.try_split().unwrap();
@@ -296,6 +300,7 @@ mod tests {
 
     #[test]
     fn skip_drops_prefix() {
+        let _serial = crate::test_serial::shared();
         let mut s = SkipSpliterator::new(SliceSpliterator::new((0..10).collect::<Vec<_>>()), 7);
         assert_eq!(s.estimate_size(), 3);
         assert_eq!(drain(&mut s), vec![7, 8, 9]);
@@ -303,6 +308,7 @@ mod tests {
 
     #[test]
     fn skip_more_than_source() {
+        let _serial = crate::test_serial::shared();
         let mut s = SkipSpliterator::new(SliceSpliterator::new(vec![1, 2]), 5);
         assert_eq!(s.estimate_size(), 0);
         assert!(drain(&mut s).is_empty());
@@ -310,6 +316,7 @@ mod tests {
 
     #[test]
     fn skip_split_absorbs_in_prefix() {
+        let _serial = crate::test_serial::shared();
         // skip 3 over [0..8): prefix [0..4) absorbs all 3.
         let mut s = SkipSpliterator::new(TieSpliterator::over(tabulate(8, |i| i).unwrap()), 3);
         let mut prefix = s.try_split().unwrap();
@@ -320,6 +327,7 @@ mod tests {
 
     #[test]
     fn skip_then_limit_composition() {
+        let _serial = crate::test_serial::shared();
         let inner = SliceSpliterator::new((0..20).collect::<Vec<_>>());
         let skipped = SkipSpliterator::new(inner, 5);
         let mut limited = LimitSpliterator::new(skipped, 4);
@@ -328,6 +336,7 @@ mod tests {
 
     #[test]
     fn truncation_drops_power2() {
+        let _serial = crate::test_serial::shared();
         let s = LimitSpliterator::new(TieSpliterator::over(tabulate(8, |i| i).unwrap()), 3);
         assert!(!s.has_characteristics(Characteristics::POWER2));
         let s = SkipSpliterator::new(TieSpliterator::over(tabulate(8, |i| i).unwrap()), 3);
@@ -365,6 +374,7 @@ mod tests {
 
     #[test]
     fn exact_size_tracks_truncation_exactly() {
+        let _serial = crate::test_serial::shared();
         // Over a SIZED inner, truncated estimates are exact — including
         // the saturating over-skip, which must report exactly zero
         // rather than wrap.
@@ -380,6 +390,7 @@ mod tests {
 
     #[test]
     fn truncation_over_an_inexact_inner_stays_inexact() {
+        let _serial = crate::test_serial::shared();
         // skip 4 over an upper bound of 10: the residue estimate (6) is
         // still only an upper bound, and `exact_size` must refuse it —
         // this is the value the driver's leaf cutoff and the tuner's
@@ -399,6 +410,7 @@ mod tests {
 
     #[test]
     fn peek_observes_everything() {
+        let _serial = crate::test_serial::shared();
         let seen = Arc::new(AtomicUsize::new(0));
         let s2 = Arc::clone(&seen);
         let mut s = PeekSpliterator::new(

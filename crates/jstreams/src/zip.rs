@@ -202,6 +202,29 @@ impl<T: Clone + Send + Sync> Spliterator<T> for ZipSpliterator<T> {
         false
     }
 
+    // The block cut: the first `m/2` elements of the residue class in
+    // encounter order. Both halves keep the stride, so each is still a
+    // strided run (`items.len() % incr == 1`) whose rank is
+    // `(start, incr)` in the root keyspace.
+    fn try_split_prefix(&mut self) -> Option<Self> {
+        let m = self.remaining();
+        if m < 2 {
+            return None;
+        }
+        let k = m / 2;
+        let lo = self.start;
+        self.level += 1;
+        self.start += k * self.incr;
+        Some(ZipSpliterator {
+            storage: self.storage.clone(),
+            start: lo,
+            end: lo + (k - 1) * self.incr,
+            incr: self.incr,
+            level: self.level,
+            exhausted: false,
+        })
+    }
+
     // Physical storage indices are monotone in the original list's
     // encounter order, and both halves of every split keep addressing
     // the same storage — the rank keyspace order-sensitive terminals
@@ -300,6 +323,10 @@ where
     fn prefix_splits(&self) -> bool {
         self.base.prefix_splits()
     }
+
+    // `try_split_prefix` keeps the `None` default: the hook is defined
+    // on parity splits (the paper's `x_degree` doubles per zip level),
+    // so a block cut would hand it state that means nothing.
 
     fn encounter_rank(&self) -> Option<(usize, usize)> {
         self.base.encounter_rank()
@@ -432,6 +459,85 @@ mod tests {
         let _ = a.try_split().unwrap();
         let _ = h.try_split().unwrap();
         assert_eq!(*shared.lock(), 4);
+    }
+
+    /// Block-cuts `s` down to singletons with `try_split_prefix`,
+    /// checking at every node that the strided-run contract holds, that
+    /// `encounter_rank` names the run's first element (values equal
+    /// their physical index here) and that each cut halves the node.
+    /// Appends the leaves' elements to `out` in tree order.
+    fn check_block_tree(mut s: ZipSpliterator<usize>, out: &mut Vec<usize>) {
+        let (base, step) = s.encounter_rank().expect("zip nodes carry ranks");
+        let (items, stride) = s.try_as_strided().expect("zip nodes borrow");
+        assert_eq!(stride, step, "the run's stride is the rank step");
+        assert!(step == 1 || items.len() % step == 1, "strided-run contract");
+        let run: Vec<usize> = items.iter().step_by(step).copied().collect();
+        assert_eq!(run.len(), s.estimate_size());
+        assert_eq!(run[0], base, "rank base is the first element's index");
+        match s.try_split_prefix() {
+            Some(prefix) => {
+                assert_eq!(prefix.estimate_size(), run.len() / 2);
+                assert_eq!(prefix.estimate_size() + s.estimate_size(), run.len());
+                check_block_tree(prefix, out);
+                check_block_tree(s, out);
+            }
+            None => {
+                assert_eq!(run.len(), 1, "only singletons refuse a block cut");
+                out.extend(drain(&mut s));
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_cuts_partition_encounter_order_at_every_depth() {
+        for n in [1usize, 2, 4, 8, 64] {
+            let mut out = vec![];
+            check_block_tree(spl(n), &mut out);
+            assert_eq!(out, (0..n).collect::<Vec<_>>(), "n={n}");
+        }
+        // Inside a residue class (after parity splits) the blocks stay
+        // strided and still partition that class in encounter order.
+        let mut s = spl(32);
+        let mut evens = s.try_split().unwrap();
+        let zero_mod_4 = evens.try_split().unwrap();
+        for (class, expect) in [
+            (zero_mod_4, (0..32).step_by(4).collect::<Vec<_>>()),
+            (evens, (2..32).step_by(4).collect()),
+            (s, (1..32).step_by(2).collect()),
+        ] {
+            let mut out = vec![];
+            check_block_tree(class, &mut out);
+            assert_eq!(out, expect);
+        }
+        // Non-power-of-two descriptors cut floor/ceil.
+        let mut odd = ZipSpliterator::from_parts(Storage::new((0..5).collect()), 0, 4, 1);
+        let mut prefix = odd.try_split_prefix().unwrap();
+        assert_eq!(drain(&mut prefix), vec![0, 1]);
+        assert_eq!(drain(&mut odd), vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn drained_or_singleton_sources_refuse_prefix_cuts() {
+        let mut one = spl(1);
+        assert!(one.try_split_prefix().is_none());
+        let mut s = spl(4);
+        s.mark_drained();
+        assert!(s.try_split_prefix().is_none());
+    }
+
+    #[test]
+    fn hooked_zip_keeps_parity_splits_only() {
+        let hook: Arc<dyn Fn(&mut u64) -> u64 + Send + Sync> = Arc::new(|local| {
+            *local *= 2;
+            *local
+        });
+        let mut h = HookedZipSpliterator::new(spl(8), 1u64, hook);
+        assert!(
+            h.try_split_prefix().is_none(),
+            "the hook is defined on parity splits"
+        );
+        assert_eq!(*h.local(), 1, "a refused cut runs no hook");
+        assert_eq!(drain(&mut h), (0..8).collect::<Vec<_>>());
     }
 
     #[test]

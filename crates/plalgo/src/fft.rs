@@ -27,8 +27,8 @@
 use crate::complex::Complex;
 use jplf::{Decomp, PowerFunction};
 use jstreams::{
-    power_stream, Collector, Decomposition, OutputBuffer, PlacementBuf, PlacementSpec, Window,
-    WindowRule,
+    power_stream, Collector, Decomposition, OutputBuffer, PlacementBuf, PlacementSpec, RunWriter,
+    Window, WindowRule,
 };
 use powerlist::{PowerArray, PowerList};
 use std::sync::Arc;
@@ -237,6 +237,11 @@ struct FftPlacement {
 }
 
 impl OutputBuffer<Complex, PowerList<Complex>> for FftPlacement {
+    // Leaves write spectra, not the elements they read: no typed writer.
+    fn writer(&self, _w: Window) -> Option<RunWriter<'_, Complex>> {
+        None
+    }
+
     fn fill_run(&self, w: Window, items: &[Complex], step: usize) -> u64 {
         if items.is_empty() {
             return 0;
@@ -247,9 +252,7 @@ impl OutputBuffer<Complex, PowerList<Complex>> for FftPlacement {
         } else {
             fft_rec(items, step, 0, n, false)
         };
-        let mut writer = self.buf.writer(w);
-        writer.push_run(&hat, 1);
-        writer.count()
+        self.buf.fill_run(w, &hat, 1)
     }
 
     fn fill_with(&self, w: Window, drive: &mut dyn FnMut(&mut dyn FnMut(Complex))) -> u64 {
@@ -261,9 +264,7 @@ impl OutputBuffer<Complex, PowerList<Complex>> for FftPlacement {
         } else {
             fft_rec(&elems, 1, 0, n, false)
         };
-        let mut writer = self.buf.writer(w);
-        writer.push_run(&hat, 1);
-        writer.count()
+        self.buf.fill_run(w, &hat, 1)
     }
 
     fn combine(&self, parent: Window, left_slots: usize) {

@@ -259,12 +259,10 @@ fn main() {
         let late_enough = at.is_some_and(|i| i >= n / 2);
         let (search_ms, drain_ms, rep_s, rep_d) = ab(args.runs, late_enough, search, drain);
         check_pruning("any_match", pos, at, n, &rep_s);
-        if at.is_some() {
-            assert!(
-                rep_s.cancels_found >= 1,
-                "any_match/{pos}: a hit must trip Found"
-            );
-        }
+        assert_eq!(
+            rep_s.cancels_found, rep_s.early_exits,
+            "any_match/{pos}: every Found observation prunes one subtree"
+        );
         if pos == "front" {
             front_speedup = drain_ms / search_ms.max(1e-12);
         }

@@ -5,7 +5,11 @@
 //! window assignment (the invariant's violation) is always caught
 //! before any slot is read back.
 
-use jstreams::{descend, PlacementBuf, Window, WindowRule};
+use jstreams::{
+    descend, stream_support, ItemSource, LeafAccess, PlacementBuf, Spliterator, Window, WindowRule,
+    ZipSpliterator,
+};
+use powerlist::tabulate;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -84,6 +88,63 @@ fn strided_windows_are_race_free_and_exactly_once() {
         assert_eq!(v, vec![100, 200, 101, 201, 102, 202, 103, 203]);
     });
     report.assert_ok();
+}
+
+/// Block mode: a zip source collected by a zip collector is cut into
+/// encounter-order blocks (`try_split_prefix`) with `Concat` windows,
+/// and each leaf pushes its fused map chain through the typed slot sink
+/// (`RunWriter::sink`) — the production leaf kernel. Two such leaves
+/// interleave freely (the mapper yields per element), yet the buffer's
+/// exactly-once audit passes and the output is the source's encounter
+/// order, mapped. Checked for a contiguous root and for a stride-2
+/// parity class as root.
+#[test]
+fn block_windows_from_prefix_cuts_are_race_free_and_exactly_once() {
+    for strided in [false, true] {
+        let report = plcheck::Explorer::exhaustive(5_000).run(move || {
+            let mut root = ZipSpliterator::over(tabulate(8, |i| i as i64).unwrap());
+            if strided {
+                // Keep the odd parity class: 1, 3, 5, 7 at stride 2.
+                let _evens = root.try_split().unwrap();
+            }
+            let expect: Vec<i64> = if strided {
+                vec![10, 30, 50, 70]
+            } else {
+                (0..8).map(|i| 10 * i).collect()
+            };
+            let mut right = stream_support(root, true)
+                .map(|x: i64| {
+                    plcheck::yield_op("map");
+                    10 * x
+                })
+                .into_spliterator();
+            let n = right.estimate_size();
+            let left = right.try_split_prefix().expect("zip sources cut blocks");
+            let (w_left, w_right) =
+                descend(Window::root(n), WindowRule::Concat, left.estimate_size(), 0);
+            assert_eq!((w_left.step, w_right.step), (1, 1), "blocks are contiguous");
+
+            let buf = Arc::new(PlacementBuf::<i64>::new(n));
+            let b = Arc::clone(&buf);
+            let t = plcheck::spawn(move || {
+                let mut left = left;
+                let mut writer = b.writer(w_left);
+                left.fused_fill(writer.sink(w_left.len)).unwrap();
+                assert_eq!(writer.count() as usize, w_left.len);
+            });
+            let mut writer = buf.writer(w_right);
+            right.fused_fill(writer.sink(w_right.len)).unwrap();
+            assert_eq!(writer.count() as usize, w_right.len);
+            drop(writer);
+            t.join();
+
+            let v = Arc::try_unwrap(buf)
+                .unwrap_or_else(|_| panic!("buffer still shared"))
+                .finish_vec();
+            assert_eq!(v, expect);
+        });
+        report.assert_ok();
+    }
 }
 
 /// The mutant: two windows that *overlap* (slots 3 and 4 have two

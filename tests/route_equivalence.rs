@@ -21,13 +21,14 @@
 use jplf::{Decomp, Executor, ForkJoinExecutor, MpiExecutor, SequentialExecutor};
 use jstreams::{
     stream_support, AdaptiveSplit, Characteristics, Decomposition, ExecConfig, FusePipe,
-    IdentityStage, ItemSource, JoiningCollector, LeafAccess, PowerListCollector, PowerMapCollector,
-    PowerSpliterator, ReduceCollector, SliceSpliterator, SplitPolicy, Spliterator, TieSpliterator,
-    VecCollector,
+    HookedZipSpliterator, IdentityStage, ItemSource, JoiningCollector, LeafAccess,
+    PowerListCollector, PowerMapCollector, PowerSpliterator, ReduceCollector, SliceSpliterator,
+    SplitPolicy, Spliterator, TieSpliterator, VecCollector, ZipSpliterator,
 };
-use powerlist::PowerList;
+use powerlist::{PowerList, PowerView};
 use proptest::prelude::*;
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// The recorded tests below install a **global** plobs sink, so any
 /// test running concurrently in this binary would leak its events into
@@ -1354,6 +1355,218 @@ fn ineligible_pipelines_fall_back_to_splice() {
         "limit-over-filter must not take the placement route:\n{}",
         report.tree_summary()
     );
+}
+
+// ---------------------------------------------------------------------
+// Block mode: a zip-splitting source collected by an interleaving
+// (zip) collector is cut into encounter-order blocks with `Concat`
+// windows instead of parity classes. The output must stay bit-identical
+// to the splice route and the spec, and only that matched pairing may
+// take the block cut.
+// ---------------------------------------------------------------------
+
+/// The zip pipelines of the block-mode property over one view —
+/// identity, `map` and `map∘peek` (`chain` 0, 1, 2) — collected into a
+/// `PowerListCollector(Zip)`.
+fn zip_to_zip(view: &PowerView<i64>, chain: usize, cfg: &ExecConfig) -> Vec<i64> {
+    let s = stream_support(ZipSpliterator::from_view(view), true);
+    let zip = PowerListCollector::new(Decomposition::Zip);
+    let out = match chain {
+        0 => s.try_collect(zip, cfg),
+        1 => s.map(|x| 3 * x + 1).try_collect(zip, cfg),
+        _ => s.map(|x| 3 * x + 1).peek(|_| {}).try_collect(zip, cfg),
+    };
+    out.expect("an eligible zip→zip collect succeeds")
+        .into_vec()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// zip view × {identity, map, map∘peek} → `PowerListCollector(Zip)`
+    /// at n = 2^0..2^12, over a contiguous view and over a stride-2
+    /// parity class, under `Fixed` and `Adaptive` policies on 1–3
+    /// threads and sequentially: placed = spliced = spec.
+    #[test]
+    fn block_mode_zip_to_zip_agrees_with_splice_and_spec(
+        k in 0u32..=12,
+        strided in any::<bool>(),
+        chain in 0usize..3,
+        threads in 1usize..=3,
+        leaf in 1usize..80,
+        adaptive in any::<bool>(),
+    ) {
+        let _shared = shared();
+        let n = 1usize << k;
+        let doubled = PowerList::from_vec((0..2 * n as i64).map(|i| 7 * i - 3).collect()).unwrap();
+        let full = doubled.view();
+        let view = if strided { full.unzip().unwrap().1 } else { full.untie().unwrap().0 };
+        let spec: Vec<i64> = view
+            .to_powerlist()
+            .into_vec()
+            .into_iter()
+            .map(|x| if chain == 0 { x } else { 3 * x + 1 })
+            .collect();
+        let policy = if adaptive {
+            SplitPolicy::Adaptive(AdaptiveSplit { min_leaf: leaf, ..AdaptiveSplit::default() })
+        } else {
+            SplitPolicy::Fixed(leaf)
+        };
+        let pool = Arc::new(forkjoin::ForkJoinPool::new(threads));
+        for cfg in [
+            ExecConfig::par().with_pool(pool).with_split_policy(policy),
+            ExecConfig::seq(),
+        ] {
+            let placed = zip_to_zip(&view, chain, &cfg);
+            let spliced = zip_to_zip(&view, chain, &cfg.clone().with_placement(false));
+            prop_assert_eq!(&placed, &spec);
+            prop_assert_eq!(&spliced, &spec);
+        }
+    }
+}
+
+/// Successful splits a run took, by kind: the source's own `try_split`
+/// and the block cut `try_split_prefix`.
+#[derive(Default)]
+struct SplitTally {
+    own: AtomicUsize,
+    block: AtomicUsize,
+}
+
+/// Forwards everything to `inner`, counting successful splits into the
+/// shared tally.
+struct Counted<S> {
+    inner: S,
+    tally: Arc<SplitTally>,
+}
+
+impl<S> Counted<S> {
+    fn wrap(&self, inner: S, kind: &AtomicUsize) -> Self {
+        kind.fetch_add(1, Ordering::Relaxed);
+        Counted {
+            inner,
+            tally: Arc::clone(&self.tally),
+        }
+    }
+}
+
+impl<T, S: ItemSource<T>> ItemSource<T> for Counted<S> {
+    fn try_advance(&mut self, action: &mut dyn FnMut(T)) -> bool {
+        self.inner.try_advance(action)
+    }
+    fn for_each_remaining(&mut self, action: &mut dyn FnMut(T)) {
+        self.inner.for_each_remaining(action)
+    }
+    fn estimate_size(&self) -> usize {
+        self.inner.estimate_size()
+    }
+}
+
+impl<T, S: LeafAccess<T>> LeafAccess<T> for Counted<S> {
+    fn try_as_slice(&self) -> Option<&[T]> {
+        self.inner.try_as_slice()
+    }
+    fn try_as_strided(&self) -> Option<(&[T], usize)> {
+        self.inner.try_as_strided()
+    }
+    fn mark_drained(&mut self) {
+        self.inner.mark_drained()
+    }
+}
+
+impl<T, S: Spliterator<T>> Spliterator<T> for Counted<S> {
+    fn try_split(&mut self) -> Option<Self> {
+        let prefix = self.inner.try_split()?;
+        Some(self.wrap(prefix, &self.tally.own))
+    }
+    fn try_split_prefix(&mut self) -> Option<Self> {
+        let prefix = self.inner.try_split_prefix()?;
+        Some(self.wrap(prefix, &self.tally.block))
+    }
+    fn characteristics(&self) -> Characteristics {
+        self.inner.characteristics()
+    }
+    fn prefix_splits(&self) -> bool {
+        self.inner.prefix_splits()
+    }
+    fn encounter_rank(&self) -> Option<(usize, usize)> {
+        self.inner.encounter_rank()
+    }
+}
+
+/// Collects `make()` into `PowerListCollector(collect)` through the
+/// placement route and the splice route; returns both outputs and the
+/// placement run's `(own, block)` split counts.
+fn counted_placement<S>(
+    make: impl Fn() -> S,
+    collect: Decomposition,
+) -> (Vec<i64>, Vec<i64>, usize, usize)
+where
+    S: Spliterator<i64> + 'static,
+{
+    let cfg = ExecConfig::par()
+        .with_pool(Arc::new(forkjoin::ForkJoinPool::new(2)))
+        .with_leaf_size(16);
+    let tally = Arc::new(SplitTally::default());
+    let source = Counted {
+        inner: make(),
+        tally: Arc::clone(&tally),
+    };
+    let placed = jstreams::try_collect_with(source, PowerListCollector::new(collect), &cfg)
+        .unwrap()
+        .into_vec();
+    let spliced = jstreams::try_collect_with(
+        make(),
+        PowerListCollector::new(collect),
+        &cfg.clone().with_placement(false),
+    )
+    .unwrap()
+    .into_vec();
+    let own = tally.own.load(Ordering::Relaxed);
+    let block = tally.block.load(Ordering::Relaxed);
+    (placed, spliced, own, block)
+}
+
+/// Pins which pairings take the block cut. 256 elements at leaf 16 make
+/// 16 leaves, i.e. 15 splits: matched zip→zip takes all 15 as prefix
+/// cuts; the hooked zip source (whose hook is defined on parity splits)
+/// and the mismatched tie→zip / zip→tie pairings keep their own splits.
+#[test]
+fn only_matched_zip_pairs_take_block_cuts() {
+    let _shared = shared();
+    let list = PowerList::from_vec((0..256i64).collect()).unwrap();
+    let zip = || ZipSpliterator::over(list.clone());
+    let hooked = || {
+        let hook: Arc<dyn Fn(&mut u64) -> u64 + Send + Sync> = Arc::new(|x_degree| {
+            *x_degree *= 2;
+            *x_degree
+        });
+        HookedZipSpliterator::new(ZipSpliterator::over(list.clone()), 1u64, hook)
+    };
+    let tie = || TieSpliterator::over(list.clone());
+
+    let (placed, spliced, own, block) = counted_placement(zip, Decomposition::Zip);
+    assert_eq!((own, block), (0, 15), "zip→zip cuts blocks at every split");
+    assert_eq!(placed, list.clone().into_vec());
+    assert_eq!(spliced, placed);
+
+    let (placed, spliced, own, block) = counted_placement(hooked, Decomposition::Zip);
+    assert_eq!((own, block), (15, 0), "hooked zip stays on parity splits");
+    assert_eq!(placed, list.clone().into_vec());
+    assert_eq!(spliced, placed);
+
+    for (name, (placed, spliced, own, block)) in [
+        ("tie→zip", counted_placement(tie, Decomposition::Zip)),
+        ("zip→tie", counted_placement(zip, Decomposition::Tie)),
+    ] {
+        assert_eq!((own, block), (15, 0), "{name} keeps its own splits");
+        assert_eq!(placed, spliced, "{name}: the permutation is unchanged");
+        assert_ne!(
+            placed,
+            list.clone().into_vec(),
+            "{name} is a real permutation"
+        );
+    }
 }
 
 /// A singleton never splits: whatever the policy says, there is nothing

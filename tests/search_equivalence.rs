@@ -266,9 +266,10 @@ fn zip_filtered_find_first_is_deterministic() {
     }
 }
 
-/// The observability contract on recorded runs: a needle deep in the
-/// suffix must trip `Found` on every run, and on at least one schedule
-/// leave subtrees behind it to prune (`EarlyExit` + pruned leaves).
+/// The observability contract on recorded runs: every checkpoint that
+/// observes the `Found` trip prunes its subtree (`cancels_found ==
+/// early_exits` on every schedule), and on at least one schedule a
+/// needle deep in the suffix leaves subtrees behind it to prune.
 /// Whether anything is still pending at trip time is schedule-dependent
 /// (a lone hardware thread drains leaves in pure DFS order), hence the
 /// bounded retry.
@@ -288,9 +289,9 @@ fn late_needle_records_found_and_prunes() {
                 .any_match(move |x: &i64| *x == needle)
         });
         assert!(hit, "the planted needle must be found");
-        assert!(
-            report.cancels_found >= 1,
-            "a hit must always record a Found cancellation: {report:?}"
+        assert_eq!(
+            report.cancels_found, report.early_exits,
+            "every Found observation prunes one subtree: {report:?}"
         );
         if report.early_exits >= 1 && report.leaves_pruned >= 1 {
             pruned = true;
