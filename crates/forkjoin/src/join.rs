@@ -41,7 +41,39 @@ where
 {
     match current_worker() {
         Some((state, index)) => join_in_worker(&state, index, a, b),
+        None if plcheck::active() => join_in_model(a, b),
         None => crate::global_pool().install(move || join(a, b)),
+    }
+}
+
+/// `join` on a plcheck model thread: pool workers are real threads
+/// outside the model, so `b` runs on a spawned model thread and `a`
+/// inline, and the checker interleaves the two halves. Panics resolve as
+/// on a worker, after both halves are at rest.
+fn join_in_model<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send + 'static,
+    B: FnOnce() -> RB + Send + 'static,
+    RA: Send + 'static,
+    RB: Send + 'static,
+{
+    // A std mutex: result hand-off only, not a model scheduling point.
+    let b_result: Arc<std::sync::Mutex<Option<TaskResult<RB>>>> = Arc::default();
+    let slot = Arc::clone(&b_result);
+    let handle = plcheck::spawn(move || {
+        *slot.lock().unwrap() = Some(run_captured(b));
+    });
+    let ra = run_captured(a);
+    handle.join();
+    let rb = b_result
+        .lock()
+        .unwrap()
+        .take()
+        .expect("joined model thread stored its result");
+    match (ra, rb) {
+        (Ok(xa), Ok(xb)) => (xa, xb),
+        (Err(pa), _) => std::panic::resume_unwind(pa),
+        (_, Err(pb)) => std::panic::resume_unwind(pb),
     }
 }
 

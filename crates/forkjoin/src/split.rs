@@ -3,8 +3,10 @@
 //! The paper leaves leaf granularity to the JVM ("the splitting is
 //! automatically stopped when a limit that depends on the system is
 //! attained", Section V). This module makes that limit an explicit,
-//! selectable policy shared by every recursive driver in the repository
-//! (the jstreams collect driver and the JPLF fork-join executor):
+//! selectable policy shared by every recursive driver in the repository:
+//! [`SplitPolicy::stop`] is the one stop rule of the jstreams split-tree
+//! walker (collect, placement, search, and the JPLF fork-join executor)
+//! and of the pltune calibration probe.
 //!
 //! * [`SplitPolicy::Fixed`] — the original static threshold: stop
 //!   splitting once a node's size drops to `leaf_size`. Deterministic
@@ -94,6 +96,45 @@ impl SplitPolicy {
         };
         ceil_log2(threads) + slack
     }
+
+    /// The stop rule of every binary divide-and-conquer driver: whether
+    /// a node at `depth` becomes a leaf, given its `exact` size and the
+    /// run's depth `cap`. Returns `(stop, steals_now)`; callers thread
+    /// `steals_now` into the node's children (see [`demand_split`]).
+    ///
+    /// `exact` is `Some` iff the source is SIZED. The size-based stop is
+    /// only sound on an exact size: an upper-bound estimate (a `filter`
+    /// chain) would serialize surviving work into one oversized leaf, so
+    /// such nodes descend to the depth cap and let the source's own
+    /// split refusal terminate. A [`SplitPolicy::Fixed`] node of exact
+    /// size ignores the cap (the static tree shape of the paper's
+    /// Figure 3). An adaptive node stops at the cap or at `min_leaf`,
+    /// and otherwise asks the calling worker's pressure probe.
+    pub fn stop(
+        &self,
+        exact: Option<usize>,
+        depth: u32,
+        cap: u32,
+        steals_seen: u64,
+    ) -> (bool, u64) {
+        match *self {
+            SplitPolicy::Fixed(leaf_size) => {
+                let stop = match exact {
+                    Some(size) => size <= leaf_size,
+                    None => depth >= cap,
+                };
+                (stop, steals_seen)
+            }
+            SplitPolicy::Adaptive(a) => {
+                if depth >= cap || exact.is_some_and(|size| size <= a.min_leaf) {
+                    (true, steals_seen)
+                } else {
+                    let (wants_split, now) = demand_split(a.surplus, steals_seen);
+                    (!wants_split, now)
+                }
+            }
+        }
+    }
 }
 
 /// One demand-driven split decision, taken from the calling worker's
@@ -160,6 +201,52 @@ mod tests {
         assert!(p.is_adaptive());
         assert_eq!(p, SplitPolicy::Adaptive(AdaptiveSplit::default()));
         assert!(!SplitPolicy::Fixed(16).is_adaptive());
+    }
+
+    #[test]
+    fn fixed_stops_on_exact_size_and_inexact_at_the_cap() {
+        let fixed = SplitPolicy::Fixed(64);
+        // Exact sizes stop on the leaf threshold alone, at any depth.
+        assert_eq!(fixed.stop(Some(64), 0, 3, 5), (true, 5));
+        assert_eq!(fixed.stop(Some(65), 0, 3, 5), (false, 5));
+        assert_eq!(
+            fixed.stop(Some(65), 9, 3, 5),
+            (false, 5),
+            "exact ignores the cap"
+        );
+        // An upper-bound estimate never stops on size: only the cap.
+        assert_eq!(fixed.stop(None, 2, 3, 5), (false, 5));
+        assert_eq!(fixed.stop(None, 3, 3, 5), (true, 5));
+    }
+
+    #[test]
+    fn adaptive_stops_at_cap_and_min_leaf_and_ignores_estimates() {
+        let adaptive = SplitPolicy::Adaptive(AdaptiveSplit {
+            min_leaf: 100,
+            ..AdaptiveSplit::default()
+        });
+        assert_eq!(
+            adaptive.stop(Some(1 << 20), 4, 4, 7),
+            (true, 7),
+            "at the cap"
+        );
+        assert_eq!(adaptive.stop(Some(100), 0, 4, 7), (true, 7), "at min_leaf");
+        assert_eq!(
+            adaptive.stop(None, 4, 4, 7),
+            (true, 7),
+            "inexact at the cap"
+        );
+        // An upper bound below `min_leaf` is not a size: off-pool, the
+        // node keeps splitting.
+        assert_eq!(adaptive.stop(None, 0, 4, 7), (false, 7));
+    }
+
+    #[test]
+    fn stop_off_pool_always_splits_below_the_cap() {
+        // No worker context: demand is assumed, the snapshot is kept.
+        let adaptive = SplitPolicy::adaptive();
+        assert_eq!(adaptive.stop(Some(1 << 20), 0, 8, 3), (false, 3));
+        assert_eq!(adaptive.stop(None, 7, 8, 3), (false, 3));
     }
 
     #[test]

@@ -2,19 +2,22 @@
 //!
 //! This is JPLF's tested executor (paper, Section III: "the tested
 //! implementation uses the ForkJoinPool executor, as is the
-//! parallelisation of Java Streams"). Each deconstruction forks the two
-//! half-computations with [`forkjoin::join`]; below a size threshold the
-//! recursion continues sequentially on the worker (the descending phase —
-//! including `create_left`/`create_right` parameter descent and
-//! `transform_halves` data transforms — still runs, only the forking
-//! stops).
+//! parallelisation of Java Streams"). It runs on the same split-tree
+//! walker as the streams `collect` ([`jstreams::walk`]): each
+//! deconstruction forks the two half-computations with
+//! [`forkjoin::join`]; below a size threshold the recursion continues
+//! sequentially on the worker (the descending phase — including
+//! `create_left`/`create_right` parameter descent and `transform_halves`
+//! data transforms — still runs, only the forking stops).
 
-use crate::executor::{ExecConfig, ExecError, Executor};
+use crate::executor::{finish, ExecConfig, ExecError, Executor};
 use crate::function::{try_compute_sequential, Decomp, PowerFunction};
-use forkjoin::{demand_split, join, ForkJoinPool, SplitPolicy};
-use jstreams::{ExecSession, Interrupt};
-use plobs::{Event, FallbackReason, LeafRoute};
+use forkjoin::{ForkJoinPool, SplitPolicy};
+use jstreams::walk::{self, Combine, Terminal};
+use jstreams::ExecSession;
+use plobs::{Event, LeafRoute};
 use powerlist::PowerView;
+use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -119,194 +122,83 @@ impl ForkJoinExecutor {
     }
 }
 
-fn par_compute<F>(
-    f: F,
-    input: PowerView<F::Elem>,
-    policy: SplitPolicy,
-    cap: u32,
-    depth: u32,
-    steals_seen: u64,
-) -> F::Out
-where
-    F: PowerFunction + Clone + Sync,
-{
-    // Timing and event emission are gated on an installed sink — the
-    // zero-cost-when-disabled contract.
-    let observe = plobs::enabled();
-    // PowerViews are always exactly sized, so the size cutoff is sound
-    // under both policies; the adaptive policy additionally stops at the
-    // depth cap or when the worker has surplus queued work and no steals
-    // are observed.
-    let mut steals_next = steals_seen;
-    let stop = input.is_singleton()
-        || match policy {
-            SplitPolicy::Fixed(leaf) => input.len() <= leaf,
-            SplitPolicy::Adaptive(a) => {
-                if depth >= cap || input.len() <= a.min_leaf {
-                    true
-                } else {
-                    let (wants_split, now) = demand_split(a.surplus, steals_seen);
-                    steals_next = now;
-                    !wants_split
-                }
-            }
-        };
-    if stop {
-        // The leaf kernel (paper §V: the basic case applied to a whole
-        // sub-list); defaults to the template recursion.
-        let items = input.len() as u64;
-        let t0 = if observe { Some(Instant::now()) } else { None };
-        let out = f.leaf_case(&input);
-        if let Some(t0) = t0 {
-            plobs::emit(Event::Leaf {
-                route: LeafRoute::Template,
-                items,
-                ns: t0.elapsed().as_nanos() as u64,
-            });
-        }
-        return out;
-    }
-    let t0 = if observe { Some(Instant::now()) } else { None };
-    let (l, r) = match f.decomposition() {
-        Decomp::Tie => input.untie().expect("non-singleton"),
-        Decomp::Zip => input.unzip().expect("non-singleton"),
-    };
-    let (fl, fr) = (f.create_left(), f.create_right());
-    let transformed = f.transform_halves(&l, &r);
-    if let Some(t0) = t0 {
-        plobs::emit(Event::Split {
-            depth,
-            adaptive: policy.is_adaptive(),
-        });
-        plobs::emit(Event::DescendNs {
-            ns: t0.elapsed().as_nanos() as u64,
-        });
-    }
-    let (lo, ro) = match transformed {
-        None => join(
-            move || par_compute(fl, l, policy, cap, depth + 1, steals_next),
-            move || par_compute(fr, r, policy, cap, depth + 1, steals_next),
-        ),
-        Some((l2, r2)) => join(
-            move || par_compute(fl, l2.view(), policy, cap, depth + 1, steals_next),
-            move || par_compute(fr, r2.view(), policy, cap, depth + 1, steals_next),
-        ),
-    };
-    let t0 = if observe { Some(Instant::now()) } else { None };
-    let out = f.combine(lo, ro);
-    if let Some(t0) = t0 {
-        plobs::emit(Event::Combine {
-            depth,
-            ns: t0.elapsed().as_nanos() as u64,
-            placement: false,
-        });
-    }
-    out
+/// The fork-join subtree protocol of a [`PowerFunction`] for the
+/// split-tree walker: a node is a function instance plus its view. The
+/// split step is the template's descending phase (deconstruction,
+/// `create_left`/`create_right`, `transform_halves`); below the split
+/// threshold the leaf kernel runs the rest of the recursion on the
+/// worker, and the ascending phase is the function's `combine`.
+struct Compute<F> {
+    session: ExecSession,
+    _function: PhantomData<fn(F)>,
 }
 
-/// Fallible mirror of [`par_compute`]: checkpoints at node entry and
-/// before combine, user primitives under panic containment, sibling
-/// interrupts merged after both halves quiesce.
-fn try_par_compute<F>(
-    f: F,
-    input: PowerView<F::Elem>,
-    policy: SplitPolicy,
-    cap: u32,
-    depth: u32,
-    steals_seen: u64,
-    session: &ExecSession,
-) -> Result<F::Out, Interrupt>
-where
-    F: PowerFunction + Clone + Sync,
-{
-    session.check()?;
-    let observe = plobs::enabled();
-    let mut steals_next = steals_seen;
-    let stop = input.is_singleton()
-        || match policy {
-            SplitPolicy::Fixed(leaf) => input.len() <= leaf,
-            SplitPolicy::Adaptive(a) => {
-                if depth >= cap || input.len() <= a.min_leaf {
-                    true
-                } else {
-                    let (wants_split, now) = demand_split(a.surplus, steals_seen);
-                    steals_next = now;
-                    !wants_split
-                }
-            }
+impl<F: PowerFunction> Terminal for Compute<F> {
+    type Node = (F, PowerView<F::Elem>);
+    type Out = F::Out;
+    /// The parent instance, whose `combine` merges the halves.
+    type Cut = F;
+    type Session = ExecSession;
+    const COMBINE: Combine = Combine::Merge;
+
+    fn session(&self) -> &ExecSession {
+        &self.session
+    }
+
+    /// PowerViews are always exactly sized, so the size cutoff is sound
+    /// under both policies.
+    fn exact_size(&self, (_, input): &(F, PowerView<F::Elem>)) -> Option<usize> {
+        Some(input.len())
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn split(
+        &self,
+        (f, input): (F, PowerView<F::Elem>),
+    ) -> Result<((F, PowerView<F::Elem>), (F, PowerView<F::Elem>), F), (F, PowerView<F::Elem>)>
+    {
+        if input.is_singleton() {
+            return Err((f, input));
+        }
+        let (l, r) = match f.decomposition() {
+            Decomp::Tie => input.untie().expect("non-singleton"),
+            Decomp::Zip => input.unzip().expect("non-singleton"),
         };
-    if stop {
-        let items = input.len() as u64;
-        let t0 = if observe { Some(Instant::now()) } else { None };
-        let out = session.run(|| f.leaf_case(&input))?;
-        if let Some(t0) = t0 {
+        let (fl, fr) = (f.create_left(), f.create_right());
+        Ok(match f.transform_halves(&l, &r) {
+            None => ((fl, l), (fr, r), f),
+            Some((l2, r2)) => ((fl, l2.view()), (fr, r2.view()), f),
+        })
+    }
+
+    /// The leaf kernel (paper §V: the basic case applied to a whole
+    /// sub-list); defaults to the template recursion.
+    fn leaf(&self, (f, input): (F, PowerView<F::Elem>)) -> F::Out {
+        let start = plobs::enabled().then(Instant::now);
+        let out = f.leaf_case(&input);
+        if let Some(start) = start {
             plobs::emit(Event::Leaf {
                 route: LeafRoute::Template,
-                items,
-                ns: t0.elapsed().as_nanos() as u64,
+                items: input.len() as u64,
+                ns: start.elapsed().as_nanos() as u64,
             });
         }
-        return Ok(out);
+        out
     }
-    let t0 = if observe { Some(Instant::now()) } else { None };
-    let (l, r) = match f.decomposition() {
-        Decomp::Tie => input.untie().expect("non-singleton"),
-        Decomp::Zip => input.unzip().expect("non-singleton"),
-    };
-    let (fl, fr) = session.run(|| (f.create_left(), f.create_right()))?;
-    let transformed = session.run(|| f.transform_halves(&l, &r))?;
-    if let Some(t0) = t0 {
-        plobs::emit(Event::Split {
-            depth,
-            adaptive: policy.is_adaptive(),
-        });
-        plobs::emit(Event::DescendNs {
-            ns: t0.elapsed().as_nanos() as u64,
-        });
+
+    fn combine(&self, f: F, left: F::Out, right: F::Out) -> F::Out {
+        f.combine(left, right)
     }
-    let s_left = session.clone();
-    let s_right = session.clone();
-    let (lo, ro) = match transformed {
-        None => join(
-            move || try_par_compute(fl, l, policy, cap, depth + 1, steals_next, &s_left),
-            move || try_par_compute(fr, r, policy, cap, depth + 1, steals_next, &s_right),
-        ),
-        Some((l2, r2)) => join(
-            move || try_par_compute(fl, l2.view(), policy, cap, depth + 1, steals_next, &s_left),
-            move || try_par_compute(fr, r2.view(), policy, cap, depth + 1, steals_next, &s_right),
-        ),
-    };
-    let (lo, ro) = match (lo, ro) {
-        (Ok(l), Ok(r)) => (l, r),
-        (Err(a), Err(b)) => return Err(a.merge(b)),
-        (Err(a), Ok(_)) | (Ok(_), Err(a)) => return Err(a),
-    };
-    session.check()?;
-    let t0 = if observe { Some(Instant::now()) } else { None };
-    let out = session.run(|| f.combine(lo, ro))?;
-    if let Some(t0) = t0 {
-        plobs::emit(Event::Combine {
-            depth,
-            ns: t0.elapsed().as_nanos() as u64,
-            placement: false,
-        });
-    }
-    Ok(out)
 }
 
 impl Executor for ForkJoinExecutor {
+    /// Shim over [`Executor::try_execute`], like every streams terminal:
+    /// a contained panic resumes on the caller.
     fn execute<F>(&self, f: &F, input: &PowerView<F::Elem>) -> F::Out
     where
         F: PowerFunction + Clone + Sync,
     {
-        let policy = self.resolve_policy(std::any::type_name::<F>(), input.len());
-        let f = f.clone();
-        let input = input.clone();
-        let cap = policy.depth_cap(self.pool.threads());
-        self.pool.install(move || {
-            let steals = forkjoin::current_probe().map_or(0, |p| p.steal_pressure());
-            par_compute(f, input, policy, cap, 0, steals)
-        })
+        finish(self.try_execute(f, input, &ExecConfig::par()), "execute")
     }
 
     fn try_execute<F>(
@@ -322,55 +214,26 @@ impl Executor for ForkJoinExecutor {
         // Graceful degradation mirrors the streams driver: a shut-down
         // or saturated pool routes the whole computation through the
         // guarded sequential template instead of failing.
-        let fallback = if self.pool.is_shut_down() {
-            Some(FallbackReason::SubmitFailed)
-        } else if cfg
-            .fallback_threshold()
-            .is_some_and(|t| self.pool.queued_tasks() > t)
-        {
-            Some(FallbackReason::PoolSaturated)
-        } else {
-            None
-        };
-        let acc = match fallback {
+        let out = match walk::fallback_reason(&self.pool, cfg) {
             Some(reason) => {
                 plobs::emit(Event::Fallback { reason });
                 try_compute_sequential(f, input, &session)
             }
             None => {
                 let policy = self.resolve_policy(std::any::type_name::<F>(), input.len());
-                let f = f.clone();
-                let input = input.clone();
-                let s2 = session.clone();
-                match self.pool.try_install(move || {
-                    // Like the streams driver, the depth cap budgets
-                    // the pool that actually executes: installed
-                    // normally that is this executor's pool, but on the
-                    // shutdown-race fallback below the closure runs on
-                    // the caller, whose joins stay on the caller's own
-                    // pool or migrate to the global one.
-                    let probe = forkjoin::current_probe();
-                    let threads = probe
-                        .as_ref()
-                        .map_or_else(|| forkjoin::global_pool().threads(), |p| p.threads());
-                    let cap = policy.depth_cap(threads);
-                    let steals = probe.map_or(0, |p| p.steal_pressure());
-                    try_par_compute(f, input, policy, cap, 0, steals, &s2)
-                }) {
-                    Ok(acc) => acc,
-                    Err(g) => {
-                        // Submission lost to a shutdown race: run on the
-                        // calling thread (joins migrate to the global
-                        // pool) and record the degradation.
-                        plobs::emit(Event::Fallback {
-                            reason: FallbackReason::SubmitFailed,
-                        });
-                        g()
-                    }
-                }
+                let compute = Compute {
+                    session: session.clone(),
+                    _function: PhantomData,
+                };
+                walk::submit(
+                    &self.pool,
+                    Arc::new(compute),
+                    (f.clone(), input.clone()),
+                    policy,
+                )
             }
         };
-        acc.map_err(|i| session.error_of(i))
+        out.map_err(|i| session.error_of(i))
     }
 }
 

@@ -64,3 +64,14 @@ pub trait Executor {
     where
         F: PowerFunction + Clone + Sync;
 }
+
+/// Resumes a contained panic and panics on any other failure — the
+/// finishing move of the infallible shims over `try_` twins (mirrors the
+/// streams front-end).
+pub(crate) fn finish<R>(result: Result<R, ExecError>, op: &str) -> R {
+    match result {
+        Ok(v) => v,
+        Err(ExecError::Panicked(payload)) => std::panic::resume_unwind(payload),
+        Err(e) => panic!("jplf {op} failed: {e}; use the try_ variant for fallible execution"),
+    }
+}

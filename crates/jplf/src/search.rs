@@ -4,8 +4,9 @@
 //!
 //! A [`PowerSearchFunction`] plays the role [`PowerFunction`] plays for
 //! reductions: it carries the decomposition choice (tie or zip) and the
-//! predicate; a [`SearchExecutor`] runs it. The execution strategy
-//! reuses the machinery of jstreams' search driver (DESIGN.md §12):
+//! predicate; a [`SearchExecutor`] runs it. The fork-join strategy runs
+//! on jstreams' split-tree walker ([`jstreams::walk`]) and reuses the
+//! machinery of its search driver (DESIGN.md §12):
 //!
 //! * a run-private [`jstreams::SearchSession`] — a decisive hit trips
 //!   its token with `CancelReason::Found` *after* the hit is recorded
@@ -23,12 +24,13 @@
 //!
 //! [`PowerFunction`]: crate::function::PowerFunction
 
-use crate::executor::{ExecConfig, ExecError, ForkJoinExecutor, SequentialExecutor};
+use crate::executor::{finish, ExecConfig, ExecError, ForkJoinExecutor, SequentialExecutor};
 use crate::function::Decomp;
-use forkjoin::{demand_split, join, CancelReason, SplitPolicy};
+use forkjoin::{CancelReason, CancelToken};
+use jstreams::walk::{self, Combine, Terminal};
 use jstreams::{FirstHit, Interrupt, SearchSession};
 use parking_lot::Mutex;
-use plobs::{Event, FallbackReason, LeafRoute};
+use plobs::{Event, LeafRoute};
 use powerlist::PowerView;
 use std::sync::Arc;
 use std::time::Instant;
@@ -135,35 +137,24 @@ where
     (scanned, false)
 }
 
-/// One leaf of the search recursion: predicate under panic containment,
-/// a decisive hit trips `Found` strictly after the sink recorded it.
-fn search_leaf<F>(
-    f: &F,
-    input: &PowerView<F::Elem>,
-    sink: &PowerSink<F::Elem>,
-    session: &SearchSession,
-) -> Result<(), Interrupt>
+/// One search leaf: a decisive hit trips `Found` on `token` strictly
+/// after the sink recorded it. Callers run it under panic containment.
+fn search_leaf<F>(f: &F, input: &PowerView<F::Elem>, sink: &PowerSink<F::Elem>, token: &CancelToken)
 where
     F: PowerSearchFunction,
 {
-    let observe = plobs::enabled();
-    let t0 = if observe { Some(Instant::now()) } else { None };
-    let token = session.token().clone();
-    let scanned = session.run(|| {
-        let (scanned, decisive) = scan_leaf(f, input, sink);
-        if decisive {
-            token.cancel(CancelReason::Found);
-        }
-        scanned
-    })?;
-    if let Some(t0) = t0 {
+    let start = plobs::enabled().then(Instant::now);
+    let (scanned, decisive) = scan_leaf(f, input, sink);
+    if decisive {
+        token.cancel(CancelReason::Found);
+    }
+    if let Some(start) = start {
         plobs::emit(Event::Leaf {
             route: LeafRoute::Template,
             items: scanned,
-            ns: t0.elapsed().as_nanos() as u64,
+            ns: start.elapsed().as_nanos() as u64,
         });
     }
-    Ok(())
 }
 
 /// The guarded whole-input scan: the sequential strategy, and the
@@ -181,105 +172,62 @@ where
         plobs::emit(Event::EarlyExit { leaves_pruned: 1 });
         return Ok(());
     }
-    search_leaf(f, input, sink, session)
+    session.run(|| search_leaf(f, input, sink, session.token()))
 }
 
-/// The parallel search recursion — [`ForkJoinExecutor`]'s
-/// `try_par_compute` skeleton with search checkpoints in place of the
-/// combine phase.
-#[allow(clippy::too_many_arguments)] // mirrors try_par_compute's frame
-fn try_search_par<F>(
-    f: Arc<F>,
-    input: PowerView<F::Elem>,
+/// The parallel search's subtree protocol for the split-tree walker
+/// ([`jstreams::walk`]): the [`ForkJoinExecutor`]'s compute protocol
+/// with the encounter-order bound as prune predicate and no combine
+/// phase — the answer lives in the shared sink.
+struct PowerSearch<F: PowerSearchFunction> {
+    f: F,
     sink: Arc<PowerSink<F::Elem>>,
-    policy: SplitPolicy,
-    cap: u32,
-    depth: u32,
-    steals_seen: u64,
-    session: &SearchSession,
-) -> Result<(), Interrupt>
-where
-    F: PowerSearchFunction,
-{
-    // Node-entry checkpoint: a Found trip prunes the subtree as success.
-    if session.check()? {
-        plobs::emit(Event::EarlyExit { leaves_pruned: 1 });
-        return Ok(());
-    }
-    // Encounter-order pruning: every physical index in this view is
-    // ≥ start (incr ≥ 1), under zip interleaving too.
-    if sink.bound() <= input.start() {
-        plobs::emit(Event::EarlyExit { leaves_pruned: 1 });
-        return Ok(());
-    }
-    let observe = plobs::enabled();
-    let mut steals_next = steals_seen;
-    let stop = input.is_singleton()
-        || match policy {
-            SplitPolicy::Fixed(leaf) => input.len() <= leaf,
-            SplitPolicy::Adaptive(a) => {
-                if depth >= cap || input.len() <= a.min_leaf {
-                    true
-                } else {
-                    let (wants_split, now) = demand_split(a.surplus, steals_seen);
-                    steals_next = now;
-                    !wants_split
-                }
-            }
-        };
-    if stop {
-        return search_leaf(&*f, &input, &*sink, session);
-    }
-    let t0 = if observe { Some(Instant::now()) } else { None };
-    let (l, r) = match f.decomposition() {
-        Decomp::Tie => input.untie().expect("non-singleton"),
-        Decomp::Zip => input.unzip().expect("non-singleton"),
-    };
-    if let Some(t0) = t0 {
-        plobs::emit(Event::Split {
-            depth,
-            adaptive: policy.is_adaptive(),
-        });
-        plobs::emit(Event::DescendNs {
-            ns: t0.elapsed().as_nanos() as u64,
-        });
-    }
-    let f_r = Arc::clone(&f);
-    let sink_r = Arc::clone(&sink);
-    let s_left = session.clone();
-    let s_right = session.clone();
-    let (lo, ro) = join(
-        move || try_search_par(f, l, sink, policy, cap, depth + 1, steals_next, &s_left),
-        move || {
-            try_search_par(
-                f_r,
-                r,
-                sink_r,
-                policy,
-                cap,
-                depth + 1,
-                steals_next,
-                &s_right,
-            )
-        },
-    );
-    match (lo, ro) {
-        (Ok(()), Ok(())) => Ok(()),
-        (Err(a), Err(b)) => Err(a.merge(b)),
-        (Err(a), Ok(())) | (Ok(()), Err(a)) => Err(a),
-    }
+    session: SearchSession,
 }
 
-/// Resumes a contained panic, panics on other failures — the infallible
-/// shims' finishing move (mirrors the streams front-end).
-fn finish<R>(result: Result<R, ExecError>, op: &str) -> R {
-    match result {
-        Ok(v) => v,
-        Err(ExecError::Panicked(payload)) => std::panic::resume_unwind(payload),
-        Err(e) => {
-            panic!("power search {op} failed: {e}; use the try_ variant for fallible execution")
-        }
+impl<F: PowerSearchFunction> Terminal for PowerSearch<F> {
+    type Node = PowerView<F::Elem>;
+    type Out = ();
+    type Cut = ();
+    type Session = SearchSession;
+    const COMBINE: Combine = Combine::Skip;
+
+    fn session(&self) -> &SearchSession {
+        &self.session
     }
+
+    fn exact_size(&self, input: &PowerView<F::Elem>) -> Option<usize> {
+        Some(input.len())
+    }
+
+    /// Every physical index in a view is ≥ its start (incr ≥ 1), under
+    /// zip interleaving too.
+    fn prune(&self, input: &PowerView<F::Elem>) -> bool {
+        self.sink.bound() <= input.start()
+    }
+
+    fn pruned(&self) {}
+
+    #[allow(clippy::type_complexity)]
+    fn split(
+        &self,
+        input: PowerView<F::Elem>,
+    ) -> Result<(PowerView<F::Elem>, PowerView<F::Elem>, ()), PowerView<F::Elem>> {
+        if input.is_singleton() {
+            return Err(input);
+        }
+        let (l, r) = match self.f.decomposition() {
+            Decomp::Tie => input.untie().expect("non-singleton"),
+            Decomp::Zip => input.unzip().expect("non-singleton"),
+        };
+        Ok((l, r, ()))
+    }
+
+    fn leaf(&self, input: PowerView<F::Elem>) {
+        search_leaf(&self.f, &input, &self.sink, self.session.token());
+    }
+
+    fn combine(&self, (): (), (): (), (): ()) {}
 }
 
 /// An execution strategy for [`PowerSearchFunction`]s: the quantifier
@@ -470,43 +418,19 @@ impl ForkJoinExecutor {
         F: PowerSearchFunction + Clone + Sync,
     {
         let session = SearchSession::new(cfg);
-        let fallback = if self.pool().is_shut_down() {
-            Some(FallbackReason::SubmitFailed)
-        } else if cfg
-            .fallback_threshold()
-            .is_some_and(|t| self.pool().queued_tasks() > t)
-        {
-            Some(FallbackReason::PoolSaturated)
-        } else {
-            None
-        };
-        let result = match fallback {
+        let result = match walk::fallback_reason(self.pool(), cfg) {
             Some(reason) => {
                 plobs::emit(Event::Fallback { reason });
                 try_search_sequential(f, input, &sink, &session)
             }
             None => {
                 let policy = self.resolve_policy(std::any::type_name::<F>(), input.len());
-                let f = Arc::new(f.clone());
-                let input = input.clone();
-                let s2 = session.clone();
-                match self.pool().try_install(move || {
-                    let probe = forkjoin::current_probe();
-                    let threads = probe
-                        .as_ref()
-                        .map_or_else(|| forkjoin::global_pool().threads(), |p| p.threads());
-                    let cap = policy.depth_cap(threads);
-                    let steals = probe.map_or(0, |p| p.steal_pressure());
-                    try_search_par(f, input, sink, policy, cap, 0, steals, &s2)
-                }) {
-                    Ok(r) => r,
-                    Err(g) => {
-                        plobs::emit(Event::Fallback {
-                            reason: FallbackReason::SubmitFailed,
-                        });
-                        g()
-                    }
-                }
+                let search = PowerSearch {
+                    f: f.clone(),
+                    sink,
+                    session: session.clone(),
+                };
+                walk::submit(self.pool(), Arc::new(search), input.clone(), policy)
             }
         };
         result.map_err(|i| session.error_of(i))

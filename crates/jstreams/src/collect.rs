@@ -4,9 +4,10 @@
 //! the spliterator directs the **descending/splitting phase**, the
 //! collector's supplier+accumulator (or specialised `leaf`) implement the
 //! **leaf phase**, and the combiner implements the **ascending/combining
-//! phase**. The parallel driver runs the two halves of every split with
-//! [`forkjoin::join`], exactly as Java's `ForkJoinPool` executes the
-//! stream's computation tree.
+//! phase**. The parallel route describes both as a subtree protocol for
+//! the split-tree walker ([`crate::walk`]), which runs the two halves of
+//! every split with [`forkjoin::join`], exactly as Java's `ForkJoinPool`
+//! executes the stream's computation tree.
 //!
 //! Where the splitting stops is a [`SplitPolicy`] — the explicit
 //! analogue of the JVM's implementation-defined granularity ("the
@@ -19,25 +20,24 @@
 //! bound (e.g. after `filter`), both policies descend to the depth cap
 //! and let `try_split` refusal terminate instead — otherwise an
 //! oversized "leaf" would silently serialize real work.
-
 //!
-//! All entry points now funnel through one **fallible driver**,
-//! [`try_collect_with`], which executes under an
-//! [`ExecSession`]: user code (leaves,
-//! combiners, the finisher) runs under panic containment, and
-//! cooperative checkpoints at split, leaf-entry and combine points
-//! observe cancellation and deadlines. The historical
-//! [`collect_seq`] / [`collect_par`] / [`collect_par_with`] functions
-//! remain as thin shims that arm a private session and resume any
-//! contained panic on the caller.
+//! Every entry point funnels through one **fallible driver**,
+//! [`try_collect_with`], which executes under an [`ExecSession`]: user
+//! code (leaves, combiners, the finisher) runs under panic containment,
+//! and cooperative checkpoints at split, leaf-entry and combine points
+//! observe cancellation and deadlines. The infallible
+//! [`Stream::collect`](crate::stream::Stream::collect) is a shim that
+//! resumes a contained panic on the caller.
 
 use crate::characteristics::Characteristics;
 use crate::collector::Collector;
-use crate::exec::{unwrap_interrupt, ExecConfig, ExecError, ExecMode, ExecSession, Interrupt};
+use crate::exec::{ExecConfig, ExecError, ExecMode, ExecSession};
 use crate::placement::{descend, fixed_leaves, OutputBuffer, PlacementSpec, Window, WindowRule};
 use crate::spliterator::{ItemSource, Spliterator};
-use forkjoin::{current_probe, demand_split, join, ForkJoinPool, SplitPolicy};
-use plobs::{Event, FallbackReason, LeafRoute};
+use crate::walk::{self, Combine, Terminal};
+use forkjoin::{ForkJoinPool, SplitPolicy};
+use plobs::{Event, LeafRoute};
+use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -156,42 +156,6 @@ where
     acc
 }
 
-/// Sequential collect: drains the spliterator without splitting, through
-/// the collector's leaf routine — what a non-parallel Java stream does
-/// (no combiner involved).
-///
-/// Shim over the fallible sequential route: a contained panic is resumed
-/// on the caller, so observable behaviour is unchanged.
-#[deprecated(
-    since = "0.9.0",
-    note = "build a stream and use `Stream::collect`, or `Stream::try_collect` with `ExecConfig::seq()` for the fallible surface"
-)]
-pub fn collect_seq<T, S, C>(mut source: S, collector: &C) -> C::Out
-where
-    S: Spliterator<T>,
-    C: Collector<T>,
-{
-    let session = ExecSession::default();
-    let acc = unwrap_interrupt(try_leaf_all(&mut source, collector, &session));
-    unwrap_interrupt(session.run(|| collector.finish(acc)))
-}
-
-/// The guarded sequential route: one checkpoint, then the whole source
-/// as a single contained leaf. Also the target of graceful degradation
-/// when the parallel route's pool is unavailable or saturated.
-fn try_leaf_all<T, S, C>(
-    source: &mut S,
-    collector: &C,
-    session: &ExecSession,
-) -> Result<C::Acc, Interrupt>
-where
-    S: Spliterator<T>,
-    C: Collector<T> + ?Sized,
-{
-    session.check()?;
-    session.run(|| run_leaf(source, collector))
-}
-
 /// Chooses a leaf granularity for a source of `len` elements on a pool of
 /// `threads` workers: enough leaves for load balance (~4 per worker, the
 /// ForkJoinPool heuristic), but never below 1.
@@ -199,77 +163,9 @@ pub fn default_leaf_size(len: usize, threads: usize) -> usize {
     (len / (4 * threads.max(1))).max(1)
 }
 
-/// Parallel collect on `pool` with the static policy: recursively splits
-/// to `leaf_size` (for `SIZED` sources; to the depth cap otherwise), runs
-/// leaves through the collector, and combines sibling results — encounter
-/// order is preserved (`combine(left, right)` with `left` the split-off
-/// prefix). Equivalent to [`collect_par_with`] under
-/// [`SplitPolicy::Fixed`].
-#[deprecated(
-    since = "0.9.0",
-    note = "use `Stream::try_collect` with `ExecConfig::par().with_pool(..).with_leaf_size(..)`"
-)]
-#[allow(deprecated)] // delegates to the sibling deprecated shim
-pub fn collect_par<T, S, C>(
-    pool: &ForkJoinPool,
-    source: S,
-    collector: Arc<C>,
-    leaf_size: usize,
-) -> C::Out
-where
-    T: Send + 'static,
-    S: Spliterator<T> + 'static,
-    C: Collector<T> + 'static,
-    C::Acc: 'static,
-{
-    collect_par_with(
-        pool,
-        source,
-        collector,
-        SplitPolicy::Fixed(leaf_size.max(1)),
-    )
-}
-
-/// Parallel collect on `pool` under an explicit [`SplitPolicy`].
-///
-/// The policy only shapes the task tree — which nodes become leaves and
-/// when — never the result: any policy produces the same output as
-/// [`collect_seq`] for a lawful collector, because siblings are always
-/// combined in encounter order.
-///
-/// Shim over the fallible parallel route: it arms a private session, so
-/// a panic anywhere in the tree still cancels sibling subtrees and is
-/// resumed on the caller once the tree has quiesced.
-#[deprecated(
-    since = "0.9.0",
-    note = "use `Stream::try_collect` with `ExecConfig::par().with_pool(..).with_split_policy(..)`"
-)]
-pub fn collect_par_with<T, S, C>(
-    pool: &ForkJoinPool,
-    source: S,
-    collector: Arc<C>,
-    policy: SplitPolicy,
-) -> C::Out
-where
-    T: Send + 'static,
-    S: Spliterator<T> + 'static,
-    C: Collector<T> + 'static,
-    C::Acc: 'static,
-{
-    let session = ExecSession::default();
-    let acc = unwrap_interrupt(try_par_core(
-        pool,
-        source,
-        Arc::clone(&collector),
-        policy,
-        &session,
-    ));
-    unwrap_interrupt(session.run(|| collector.finish(acc)))
-}
-
 /// The unified fallible driver behind
 /// [`Stream::try_collect`](crate::stream::Stream::try_collect) and every
-/// legacy entry point.
+/// infallible collect.
 ///
 /// Resolution order: `cfg.mode()` picks the route; the parallel route
 /// takes `cfg`'s pool (default: the [global pool](forkjoin::global_pool))
@@ -301,84 +197,46 @@ where
 {
     let session = ExecSession::new(cfg);
     let collector = Arc::new(collector);
-    let acc = match cfg.mode() {
-        ExecMode::Seq => {
-            let mut source = source;
+    let mut source = source;
+    let pool = match cfg.mode() {
+        ExecMode::Seq => None,
+        ExecMode::Par => {
+            let pool = walk::pool_of(cfg);
+            match walk::fallback_reason(pool, cfg) {
+                Some(reason) => {
+                    plobs::emit(Event::Fallback { reason });
+                    None
+                }
+                None => Some(pool),
+            }
+        }
+    };
+    let acc = match pool {
+        // The guarded sequential route: the whole source as one
+        // contained leaf (a placement leaf when eligible).
+        None => {
             if let Some(out) = try_placement_single(&mut source, &*collector, cfg, &session) {
                 return out;
             }
-            try_leaf_all(&mut source, &*collector, &session)
+            session
+                .check()
+                .and_then(|()| session.run(|| run_leaf(&mut source, &*collector)))
         }
-        ExecMode::Par => {
-            let global;
-            let pool: &ForkJoinPool = match cfg.pool() {
-                Some(p) => p,
-                None => {
-                    global = forkjoin::global_pool();
-                    global
-                }
-            };
-            let fallback = if pool.is_shut_down() {
-                Some(FallbackReason::SubmitFailed)
-            } else if cfg
-                .fallback_threshold()
-                .is_some_and(|t| pool.queued_tasks() > t)
-            {
-                Some(FallbackReason::PoolSaturated)
-            } else {
-                None
-            };
-            match fallback {
-                Some(reason) => {
-                    plobs::emit(Event::Fallback { reason });
-                    let mut source = source;
-                    if let Some(out) = try_placement_single(&mut source, &*collector, cfg, &session)
-                    {
-                        return out;
-                    }
-                    try_leaf_all(&mut source, &*collector, &session)
-                }
-                None => {
-                    // Policy precedence: an explicit `with_split_policy`
-                    // / `with_leaf_size` always wins; otherwise a tuner
-                    // attached via `auto_tune` resolves a cached (or
-                    // freshly calibrated) plan; otherwise the static
-                    // heuristic. The fingerprint's size/`sized` pair
-                    // comes from `exact_size()` so a non-SIZED upper
-                    // bound is bucketed as inexact, not mistaken for a
-                    // real length.
-                    let policy = cfg
-                        .policy()
-                        .or_else(|| {
-                            cfg.tuner().and_then(|cache| {
-                                let exact = source.exact_size();
-                                let fp = pltune::Fingerprint::new(
-                                    std::any::type_name::<S>(),
-                                    std::any::type_name::<C>(),
-                                    exact.unwrap_or_else(|| source.estimate_size()),
-                                    exact.is_some(),
-                                    pool.threads(),
-                                );
-                                pltune::resolve(cache, pool, &fp)
-                            })
-                        })
-                        .unwrap_or_else(|| {
-                            SplitPolicy::Fixed(default_leaf_size(
-                                source.estimate_size(),
-                                pool.threads(),
-                            ))
-                        });
-                    // Destination-passing route: when the collector and
-                    // pipeline are eligible, allocate the output once
-                    // and write leaves straight into disjoint windows.
-                    // Non-eligible pipelines fall through to the splice
-                    // recursion untouched.
-                    match try_placement_par(pool, source, &collector, policy, cfg, &session) {
-                        PlacementOutcome::Done(out) => return out,
-                        PlacementOutcome::Splice(source) => {
-                            try_par_core(pool, source, Arc::clone(&collector), policy, &session)
-                        }
-                    }
+        Some(pool) => {
+            let policy = walk::resolve_policy(cfg, pool, &source, std::any::type_name::<C>());
+            // Destination-passing route: when the collector and
+            // pipeline are eligible, allocate the output once and write
+            // leaves straight into disjoint windows. Non-eligible
+            // pipelines fall through to the splice route untouched.
+            match try_placement_par(pool, source, &collector, policy, cfg, &session) {
+                PlacementOutcome::Done(out) => return out,
+                PlacementOutcome::Splice(source) => {
+                    let splice = Splice {
+                        collector: Arc::clone(&collector),
+                        session: session.clone(),
+                        _source: PhantomData,
+                    };
+                    walk::submit(pool, Arc::new(splice), source, policy)
                 }
             }
         }
@@ -391,149 +249,50 @@ where
     }
 }
 
-/// Submits the fallible recursion to `pool`. If the submission itself is
-/// lost to a shutdown race, the closure is handed back unexecuted
-/// ([`ForkJoinPool::try_install`]) and runs on the calling thread as a
-/// recorded fallback (its joins migrate to the global pool).
-pub(crate) fn try_par_core<T, S, C>(
-    pool: &ForkJoinPool,
-    source: S,
+/// The splice route's subtree protocol: a node is a spliterator, leaves
+/// run the collector's kernels ([`run_leaf`]) and sibling results merge
+/// through its combiner — encounter order is preserved
+/// (`combine(left, right)` with `left` the split-off prefix).
+struct Splice<T, S, C> {
     collector: Arc<C>,
-    policy: SplitPolicy,
-    session: &ExecSession,
-) -> Result<C::Acc, Interrupt>
-where
-    T: Send + 'static,
-    S: Spliterator<T> + 'static,
-    C: Collector<T> + 'static,
-    C::Acc: 'static,
-{
-    let s2 = session.clone();
-    match pool.try_install(move || {
-        // The depth cap must budget the pool that actually *executes*
-        // the recursion, which is not always `pool`: on the shutdown
-        // race below the unexecuted closure runs on the caller, where
-        // joins stay on the caller's own pool (worker thread) or
-        // migrate to the global pool (external thread). Deriving the
-        // cap from the executing context here — instead of capturing
-        // `pool.threads()` outside — keeps the fallback from splitting
-        // for a dead pool's width.
-        let probe = current_probe();
-        let threads = probe
-            .as_ref()
-            .map_or_else(|| forkjoin::global_pool().threads(), |p| p.threads());
-        let cap = policy.depth_cap(threads);
-        let steals = probe.map_or(0, |p| p.steal_pressure());
-        try_recurse(source, collector, policy, cap, 0, steals, &s2)
-    }) {
-        Ok(acc) => acc,
-        Err(f) => {
-            plobs::emit(Event::Fallback {
-                reason: FallbackReason::SubmitFailed,
-            });
-            f()
-        }
-    }
+    session: ExecSession,
+    _source: PhantomData<fn(S) -> T>,
 }
 
-fn try_recurse<T, S, C>(
-    mut source: S,
-    collector: Arc<C>,
-    policy: SplitPolicy,
-    cap: u32,
-    depth: u32,
-    steals_seen: u64,
-    session: &ExecSession,
-) -> Result<C::Acc, Interrupt>
+impl<T, S, C> Terminal for Splice<T, S, C>
 where
     T: Send + 'static,
     S: Spliterator<T> + 'static,
     C: Collector<T> + 'static,
     C::Acc: 'static,
 {
-    // Node-entry checkpoint: covers both the split decision and leaf
-    // entry, so a cancelled run prunes whole subtrees here (one
-    // `Event::Cancel` per pruned node).
-    session.check()?;
-    // The size-based stop is only sound when the size is exact
-    // (`exact_size()` is `Some` iff SIZED): for non-SIZED sources
-    // (filter adapters, skip residues) the estimate is an upper bound,
-    // and stopping on it would serialize surviving work into one
-    // oversized leaf. Unsized sources descend to the depth cap and let
-    // `try_split` refusal terminate.
-    let exact = source.exact_size();
-    let mut steals_next = steals_seen;
-    let stop = match policy {
-        SplitPolicy::Fixed(leaf_size) => match exact {
-            Some(size) => size <= leaf_size,
-            None => depth >= cap,
-        },
-        SplitPolicy::Adaptive(a) => {
-            if depth >= cap || exact.is_some_and(|size| size <= a.min_leaf) {
-                true
-            } else {
-                let (wants_split, now) = demand_split(a.surplus, steals_seen);
-                steals_next = now;
-                !wants_split
-            }
-        }
-    };
-    if stop {
-        return session.run(|| run_leaf(&mut source, &*collector));
+    type Node = S;
+    type Out = C::Acc;
+    type Cut = ();
+    type Session = ExecSession;
+    const COMBINE: Combine = Combine::Merge;
+
+    fn session(&self) -> &ExecSession {
+        &self.session
     }
-    let observe = plobs::enabled();
-    let descend_start = if observe { Some(Instant::now()) } else { None };
-    match source.try_split() {
-        None => session.run(|| run_leaf(&mut source, &*collector)),
-        Some(prefix) => {
-            if let Some(start) = descend_start {
-                plobs::emit(Event::Split {
-                    depth,
-                    adaptive: policy.is_adaptive(),
-                });
-                plobs::emit(Event::DescendNs {
-                    ns: start.elapsed().as_nanos() as u64,
-                });
-            }
-            let c_left = Arc::clone(&collector);
-            let c_right = Arc::clone(&collector);
-            let s_left = session.clone();
-            let s_right = session.clone();
-            let (left, right) = join(
-                move || try_recurse(prefix, c_left, policy, cap, depth + 1, steals_next, &s_left),
-                move || {
-                    try_recurse(
-                        source,
-                        c_right,
-                        policy,
-                        cap,
-                        depth + 1,
-                        steals_next,
-                        &s_right,
-                    )
-                },
-            );
-            // Both halves have quiesced; merge their interrupts so a
-            // panic payload always outranks a cancellation.
-            let (left, right) = match (left, right) {
-                (Ok(l), Ok(r)) => (l, r),
-                (Err(a), Err(b)) => return Err(a.merge(b)),
-                (Err(a), Ok(_)) | (Ok(_), Err(a)) => return Err(a),
-            };
-            // Combine checkpoint: skip the (possibly expensive) merge
-            // of results that are already doomed to be discarded.
-            session.check()?;
-            let combine_start = if observe { Some(Instant::now()) } else { None };
-            let out = session.run(|| collector.combine(left, right))?;
-            if let Some(start) = combine_start {
-                plobs::emit(Event::Combine {
-                    depth,
-                    ns: start.elapsed().as_nanos() as u64,
-                    placement: false,
-                });
-            }
-            Ok(out)
+
+    fn exact_size(&self, source: &S) -> Option<usize> {
+        source.exact_size()
+    }
+
+    fn split(&self, mut source: S) -> Result<(S, S, ()), S> {
+        match source.try_split() {
+            Some(prefix) => Ok((prefix, source, ())),
+            None => Err(source),
         }
+    }
+
+    fn leaf(&self, mut source: S) -> C::Acc {
+        run_leaf(&mut source, &*self.collector)
+    }
+
+    fn combine(&self, (): (), left: C::Acc, right: C::Acc) -> C::Acc {
+        self.collector.combine(left, right)
     }
 }
 
@@ -627,7 +386,7 @@ where
 
 /// Outcome of the parallel placement attempt: either the route ran to
 /// completion (or to a contained error), or the pipeline was handed
-/// back untouched for the splice recursion.
+/// back untouched for the splice route.
 enum PlacementOutcome<S, O> {
     Done(Result<O, ExecError>),
     Splice(S),
@@ -670,67 +429,21 @@ where
     let Some(buf) = collector.try_reserve(slots) else {
         return PlacementOutcome::Splice(source);
     };
-    let res = try_par_core_placement(
-        pool,
-        source,
-        Arc::clone(collector),
-        Arc::clone(&buf),
-        Window::root(slots),
-        plan.spec,
+    let place = Place {
+        collector: Arc::clone(collector),
+        buf: Arc::clone(&buf),
+        spec: plan.spec,
         gap_leaf,
-        policy,
-        session,
-    );
-    let out = match res {
+        session: session.clone(),
+        _source: PhantomData,
+    };
+    let out = match walk::submit(pool, Arc::new(place), (source, Window::root(slots)), policy) {
         Ok(()) => session
             .run(|| buf.finish())
             .map_err(|i| session.error_of(i)),
         Err(i) => Err(session.error_of(i)),
     };
     PlacementOutcome::Done(out)
-}
-
-/// Placement analogue of [`try_par_core`]: submits the window-passing
-/// recursion, deriving the depth cap from the executing context (the
-/// same shutdown-race contract).
-#[allow(clippy::too_many_arguments)]
-fn try_par_core_placement<T, S, C>(
-    pool: &ForkJoinPool,
-    source: S,
-    collector: Arc<C>,
-    buf: Arc<dyn OutputBuffer<T, C::Out>>,
-    w: Window,
-    spec: PlacementSpec,
-    gap_leaf: usize,
-    policy: SplitPolicy,
-    session: &ExecSession,
-) -> Result<(), Interrupt>
-where
-    T: Send + 'static,
-    S: Spliterator<T> + 'static,
-    C: Collector<T> + 'static,
-    C::Out: 'static,
-{
-    let s2 = session.clone();
-    match pool.try_install(move || {
-        let probe = current_probe();
-        let threads = probe
-            .as_ref()
-            .map_or_else(|| forkjoin::global_pool().threads(), |p| p.threads());
-        let cap = policy.depth_cap(threads);
-        let steals = probe.map_or(0, |p| p.steal_pressure());
-        try_recurse_placement(
-            source, collector, buf, w, spec, gap_leaf, policy, cap, 0, steals, &s2,
-        )
-    }) {
-        Ok(r) => r,
-        Err(f) => {
-            plobs::emit(Event::Fallback {
-                reason: FallbackReason::SubmitFailed,
-            });
-            f()
-        }
-    }
 }
 
 /// Slot count of the left sibling after a split — the descent's input.
@@ -808,162 +521,94 @@ where
     wrote
 }
 
-/// The window-passing recursion: the placement mirror of
-/// [`try_recurse`], with identical stop rules, checkpoints and events —
-/// but leaves write into their window and the ascend phase is the
-/// buffer's (constant-size) `combine` instead of a splice.
-#[allow(clippy::too_many_arguments)]
-fn try_recurse_placement<T, S, C>(
-    mut source: S,
+/// The placement route's subtree protocol: a node is a spliterator plus
+/// its output window. The stop rule, checkpoints and events are the
+/// walker's, as for [`Splice`], but leaves write into their window and
+/// the ascend phase is the buffer's (constant-size) `combine` instead of
+/// a splice.
+struct Place<T, S, C: Collector<T>> {
     collector: Arc<C>,
     buf: Arc<dyn OutputBuffer<T, C::Out>>,
-    w: Window,
     spec: PlacementSpec,
     gap_leaf: usize,
-    policy: SplitPolicy,
-    cap: u32,
-    depth: u32,
-    steals_seen: u64,
-    session: &ExecSession,
-) -> Result<(), Interrupt>
+    session: ExecSession,
+    _source: PhantomData<fn(S)>,
+}
+
+impl<T, S, C> Terminal for Place<T, S, C>
 where
     T: Send + 'static,
     S: Spliterator<T> + 'static,
     C: Collector<T> + 'static,
     C::Out: 'static,
 {
-    session.check()?;
-    let exact = source.exact_size();
-    let mut steals_next = steals_seen;
-    let stop = match policy {
-        SplitPolicy::Fixed(leaf_size) => match exact {
-            Some(size) => size <= leaf_size,
-            None => depth >= cap,
-        },
-        SplitPolicy::Adaptive(a) => {
-            if depth >= cap || exact.is_some_and(|size| size <= a.min_leaf) {
-                true
-            } else {
-                let (wants_split, now) = demand_split(a.surplus, steals_seen);
-                steals_next = now;
-                !wants_split
-            }
-        }
-    };
-    if stop {
-        return session
-            .run(|| placement_leaf(&mut source, &*buf, w))
-            .map(|_| ());
+    type Node = (S, Window);
+    type Out = ();
+    /// The parent window and its left child's slot count.
+    type Cut = (Window, usize);
+    type Session = ExecSession;
+    const COMBINE: Combine = Combine::Placement;
+
+    fn session(&self) -> &ExecSession {
+        &self.session
     }
-    let observe = plobs::enabled();
-    let descend_start = if observe { Some(Instant::now()) } else { None };
-    // Matched zip→zip: the source splits by parity and the collector
-    // recombines by interleaving, so the element at encounter rank r
-    // lands in slot r whichever way the node is cut. Cutting an
-    // encounter-order block (prefix split + `Concat` window) keeps
-    // that identity and gives every leaf a contiguous input run and a
-    // contiguous output window. A node whose source refuses the block
-    // cut (`HookedZipSpliterator`: its hook is defined on parity
-    // splits) takes its own split and the collector's rule, as do all
-    // mismatched pairings — those are real permutations.
-    let block = if spec.rule == WindowRule::Interleave && spec.unit && !source.prefix_splits() {
-        source.try_split_prefix()
-    } else {
-        None
-    };
-    let rule = if block.is_some() {
-        WindowRule::Concat
-    } else {
-        spec.rule
-    };
-    let node_spec = PlacementSpec { rule, ..spec };
-    match block.or_else(|| source.try_split()) {
-        None => session
-            .run(|| placement_leaf(&mut source, &*buf, w))
-            .map(|_| ()),
-        Some(prefix) => {
-            if let Some(start) = descend_start {
-                plobs::emit(Event::Split {
-                    depth,
-                    adaptive: policy.is_adaptive(),
-                });
-                plobs::emit(Event::DescendNs {
-                    ns: start.elapsed().as_nanos() as u64,
-                });
-            }
-            // Window bookkeeping (including the non-unit measure of the
-            // left run) is descend-phase work; it runs contained so a
-            // violated window invariant surfaces as `Panicked`, never
-            // as an unwind through the pool.
-            let (left_slots, w_left, w_right) = session.run(|| {
-                let left_slots = left_slot_count(&prefix, &*collector, node_spec, gap_leaf, w);
-                let (w_left, w_right) = descend(w, rule, left_slots, spec.gap);
-                (left_slots, w_left, w_right)
-            })?;
-            let c_left = Arc::clone(&collector);
-            let c_right = Arc::clone(&collector);
-            let b_left = Arc::clone(&buf);
-            let b_right = Arc::clone(&buf);
-            let s_left = session.clone();
-            let s_right = session.clone();
-            let (left, right) = join(
-                move || {
-                    try_recurse_placement(
-                        prefix,
-                        c_left,
-                        b_left,
-                        w_left,
-                        spec,
-                        gap_leaf,
-                        policy,
-                        cap,
-                        depth + 1,
-                        steals_next,
-                        &s_left,
-                    )
-                },
-                move || {
-                    try_recurse_placement(
-                        source,
-                        c_right,
-                        b_right,
-                        w_right,
-                        spec,
-                        gap_leaf,
-                        policy,
-                        cap,
-                        depth + 1,
-                        steals_next,
-                        &s_right,
-                    )
-                },
-            );
-            match (left, right) {
-                (Ok(()), Ok(())) => {}
-                (Err(a), Err(b)) => return Err(a.merge(b)),
-                (Err(a), Ok(())) | (Ok(()), Err(a)) => return Err(a),
-            }
-            session.check()?;
-            let combine_start = if observe { Some(Instant::now()) } else { None };
-            session.run(|| buf.combine(w, left_slots))?;
-            if let Some(start) = combine_start {
-                plobs::emit(Event::Combine {
-                    depth,
-                    ns: start.elapsed().as_nanos() as u64,
-                    placement: true,
-                });
-            }
-            Ok(())
-        }
+
+    fn exact_size(&self, (source, _): &(S, Window)) -> Option<usize> {
+        source.exact_size()
+    }
+
+    /// The source's cut plus the window bookkeeping (including the
+    /// non-unit measure of the left run). Running contained, a violated
+    /// window invariant surfaces as `Panicked`, never as an unwind
+    /// through the pool.
+    fn split(
+        &self,
+        (mut source, w): (S, Window),
+    ) -> Result<((S, Window), (S, Window), (Window, usize)), (S, Window)> {
+        let spec = self.spec;
+        // Matched zip→zip: the source splits by parity and the collector
+        // recombines by interleaving, so the element at encounter rank r
+        // lands in slot r whichever way the node is cut. Cutting an
+        // encounter-order block (prefix split + `Concat` window) keeps
+        // that identity and gives every leaf a contiguous input run and a
+        // contiguous output window. A node whose source refuses the block
+        // cut (`HookedZipSpliterator`: its hook is defined on parity
+        // splits) takes its own split and the collector's rule, as do all
+        // mismatched pairings — those are real permutations.
+        let block = if spec.rule == WindowRule::Interleave && spec.unit && !source.prefix_splits() {
+            source.try_split_prefix()
+        } else {
+            None
+        };
+        let rule = if block.is_some() {
+            WindowRule::Concat
+        } else {
+            spec.rule
+        };
+        let Some(prefix) = block.or_else(|| source.try_split()) else {
+            return Err((source, w));
+        };
+        let node_spec = PlacementSpec { rule, ..spec };
+        let left_slots = left_slot_count(&prefix, &*self.collector, node_spec, self.gap_leaf, w);
+        let (w_left, w_right) = descend(w, rule, left_slots, spec.gap);
+        Ok(((prefix, w_left), (source, w_right), (w, left_slots)))
+    }
+
+    fn leaf(&self, (mut source, w): (S, Window)) {
+        placement_leaf(&mut source, &*self.buf, w);
+    }
+
+    fn combine(&self, (w, left_slots): (Window, usize), (): (), (): ()) {
+        self.buf.combine(w, left_slots)
     }
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy shims keep their direct coverage here
 mod tests {
     use super::*;
     use crate::collector::{CountCollector, JoiningCollector, ReduceCollector, VecCollector};
     use crate::spliterator::SliceSpliterator;
+    use crate::stream::stream_support;
     use crate::tie::TieSpliterator;
     use crate::zip::ZipSpliterator;
     use powerlist::tabulate;
@@ -972,35 +617,58 @@ mod tests {
         ForkJoinPool::new(3)
     }
 
+    /// Sequential collect on the calling thread.
+    fn seq<T, S, C>(s: S, c: C) -> C::Out
+    where
+        T: Send + 'static,
+        S: Spliterator<T> + 'static,
+        C: Collector<T> + 'static,
+        C::Out: 'static,
+    {
+        try_collect_with(s, c, &ExecConfig::seq()).unwrap()
+    }
+
+    /// Splice collect on a fresh 3-thread pool, splitting to `leaf`.
+    fn par<T, S, C>(s: S, c: C, leaf: usize) -> C::Out
+    where
+        T: Send + 'static,
+        S: Spliterator<T> + 'static,
+        C: Collector<T> + 'static,
+        C::Out: 'static,
+    {
+        let cfg = ExecConfig::par()
+            .with_pool(Arc::new(pool()))
+            .with_leaf_size(leaf)
+            .with_placement(false);
+        try_collect_with(s, c, &cfg).unwrap()
+    }
+
     #[test]
     fn seq_collect_to_vec() {
         let _serial = crate::test_serial::shared();
         let s = SliceSpliterator::new(vec![1, 2, 3, 4, 5]);
-        assert_eq!(collect_seq(s, &VecCollector), vec![1, 2, 3, 4, 5]);
+        assert_eq!(seq(s, VecCollector), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]
     fn par_collect_to_vec_preserves_order() {
         let _serial = crate::test_serial::shared();
-        let p = pool();
         let s = SliceSpliterator::new((0..1000).collect());
-        let out = collect_par(&p, s, Arc::new(VecCollector), 16);
+        let out = par(s, VecCollector, 16);
         assert_eq!(out, (0..1000).collect::<Vec<_>>());
     }
 
     #[test]
     fn par_reduce_matches_seq() {
         let _serial = crate::test_serial::shared();
-        let p = pool();
         let data: Vec<i64> = (1..=100).collect();
-        let seq = collect_seq(
+        let seq = seq(
             SliceSpliterator::new(data.clone()),
-            &ReduceCollector::new(0, |a, b| a + b),
+            ReduceCollector::new(0, |a, b| a + b),
         );
-        let par = collect_par(
-            &p,
+        let par = par(
             SliceSpliterator::new(data),
-            Arc::new(ReduceCollector::new(0, |a, b| a + b)),
+            ReduceCollector::new(0, |a, b| a + b),
             8,
         );
         assert_eq!(seq, 5050);
@@ -1010,18 +678,16 @@ mod tests {
     #[test]
     fn count_collector_parallel() {
         let _serial = crate::test_serial::shared();
-        let p = pool();
         let s = SliceSpliterator::new(vec![0u8; 777]);
-        assert_eq!(collect_par(&p, s, Arc::new(CountCollector), 10), 777);
+        assert_eq!(par(s, CountCollector, 10), 777);
     }
 
     #[test]
     fn tie_spliterator_vec_collect_is_identity() {
         let _serial = crate::test_serial::shared();
-        let p = pool();
         let list = tabulate(64, |i| i as i32).unwrap();
         let s = TieSpliterator::over(list.clone());
-        let out = collect_par(&p, s, Arc::new(VecCollector), 4);
+        let out = par(s, VecCollector, 4);
         assert_eq!(out, list.into_vec());
     }
 
@@ -1033,34 +699,31 @@ mod tests {
         // observation that motivates zipAll). With leaf_size 1 on length
         // 4, concatenating the four residue classes gives the bit-
         // reversal permutation.
-        let p = pool();
         let list = tabulate(4, |i| i).unwrap();
         let s = ZipSpliterator::over(list);
-        let out = collect_par(&p, s, Arc::new(VecCollector), 1);
+        let out = par(s, VecCollector, 1);
         assert_eq!(out, vec![0, 2, 1, 3]);
     }
 
     #[test]
     fn joining_collector_separator_at_merges_only() {
         let _serial = crate::test_serial::shared();
-        let p = pool();
         let words: Vec<String> = ["a", "b", "c", "d"].iter().map(|s| s.to_string()).collect();
         let s = SliceSpliterator::new(words);
         // leaf_size 1: every word is its own leaf; 3 combines insert 3
         // separators.
-        let out = collect_par(&p, s, Arc::new(JoiningCollector::new(",")), 1);
+        let out = par(s, JoiningCollector::new(","), 1);
         assert_eq!(out, "a,b,c,d");
         // Sequential: no combiner, no separators (paper's remark).
         let s = SliceSpliterator::new(["a", "b", "c", "d"].iter().map(|s| s.to_string()).collect());
-        assert_eq!(collect_seq(s, &JoiningCollector::new(",")), "abcd");
+        assert_eq!(seq(s, JoiningCollector::new(",")), "abcd");
     }
 
     #[test]
     fn leaf_size_equal_to_len_is_sequential() {
         let _serial = crate::test_serial::shared();
-        let p = pool();
         let s = SliceSpliterator::new((0..32).collect::<Vec<_>>());
-        let out = collect_par(&p, s, Arc::new(VecCollector), 32);
+        let out = par(s, VecCollector, 32);
         assert_eq!(out, (0..32).collect::<Vec<_>>());
     }
 
@@ -1076,9 +739,8 @@ mod tests {
     #[test]
     fn singleton_source() {
         let _serial = crate::test_serial::shared();
-        let p = pool();
         let s = SliceSpliterator::new(vec![42]);
-        assert_eq!(collect_par(&p, s, Arc::new(VecCollector), 1), vec![42]);
+        assert_eq!(par(s, VecCollector, 1), vec![42]);
     }
 
     #[test]
@@ -1314,9 +976,9 @@ mod tests {
     #[test]
     fn submit_race_fallback_recomputes_cap_from_executing_pool() {
         let _serial = crate::test_serial::exclusive();
-        // `try_par_core`'s shutdown-race fallback runs the recursion on
-        // this (external) thread, with joins migrating to the global
-        // pool. A depth cap captured from the dead 1-thread target pool
+        // `walk::submit`'s shutdown-race fallback runs the walk on this
+        // (external) thread, with joins migrating to the global pool. A
+        // depth cap captured from the dead 1-thread target pool
         // (`ceil_log2(1) + 0 = 0` under zero slack) would stop an
         // adaptive descent at the root with zero splits; the cap must
         // instead budget the pool that executes.
@@ -1330,15 +992,17 @@ mod tests {
             depth_slack: 0,
             ..forkjoin::AdaptiveSplit::default()
         });
-        let cfg = ExecConfig::par();
-        let session = ExecSession::new(&cfg);
+        let splice = Splice {
+            collector: Arc::new(ReduceCollector::new(0, |a, b| a + b)),
+            session: ExecSession::new(&ExecConfig::par()),
+            _source: PhantomData,
+        };
         let (out, report) = plobs::recorded(|| {
-            try_par_core(
+            walk::submit(
                 &dead,
+                Arc::new(splice),
                 SliceSpliterator::new((0..4096i64).collect()),
-                Arc::new(ReduceCollector::new(0, |a, b| a + b)),
                 policy,
-                &session,
             )
         });
         assert_eq!(out.unwrap(), 4095 * 4096 / 2);
@@ -1437,28 +1101,25 @@ mod tests {
     #[test]
     fn legacy_shim_resumes_contained_panics() {
         let _serial = crate::test_serial::shared();
-        let p = pool();
+        // The infallible `Stream::collect` shim resumes a contained
+        // panic on the caller.
+        let p = Arc::new(pool());
+        let ints = || stream_support(SliceSpliterator::new((0..64).collect::<Vec<i32>>()), true);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            collect_par(
-                &p,
-                SliceSpliterator::new((0..64).collect::<Vec<i32>>()),
-                Arc::new(ReduceCollector::new(0, |_, _| -> i32 {
+            ints()
+                .with_pool(Arc::clone(&p))
+                .with_leaf_size(4)
+                .collect(ReduceCollector::new(0, |_, _| -> i32 {
                     panic!("legacy bang")
-                })),
-                4,
-            )
+                }))
         }));
         let payload = caught.unwrap_err();
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"legacy bang"));
         // The same pool still works afterwards.
-        assert_eq!(
-            collect_par(
-                &p,
-                SliceSpliterator::new((0..64).collect::<Vec<i32>>()),
-                Arc::new(CountCollector),
-                4
-            ),
-            64
-        );
+        let count = ints()
+            .with_pool(p)
+            .with_leaf_size(4)
+            .collect(CountCollector);
+        assert_eq!(count, 64);
     }
 }

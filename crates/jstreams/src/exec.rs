@@ -1,11 +1,9 @@
 //! Execution sessions: the unified config / error surface of `collect`.
 //!
-//! The front-end had sprawled into `collect_seq` / `collect_par` /
-//! `collect_par_with` plus per-stream knobs (`with_pool`,
-//! `with_leaf_size`, `with_split_policy`). [`ExecConfig`] folds all of
-//! them into one builder-style value consumed by a single fallible
-//! driver ([`crate::collect::try_collect_with`]); the legacy entry
-//! points survive as thin shims over it.
+//! [`ExecConfig`] folds every execution knob (mode, pool, split policy,
+//! fault-tolerance limits) into one builder-style value consumed by the
+//! fallible drivers ([`crate::collect::try_collect_with`] and the search
+//! terminals); the infallible terminals are thin shims over them.
 //!
 //! The fallible layer is organised around an [`ExecSession`]: a
 //! first-cancel-wins [`CancelToken`] plus an optional [`Deadline`],
@@ -399,19 +397,6 @@ impl ExecSession {
                 elapsed: self.deadline.map_or(Duration::ZERO, |d| d.elapsed()),
             },
             Interrupt::Cancelled(_) => ExecError::Cancelled,
-        }
-    }
-}
-
-/// Unwraps a fallible-driver result for the legacy (infallible) entry
-/// points: panics resume on the caller, and cancellation is impossible
-/// because legacy shims arm a private, never-tripped session.
-pub(crate) fn unwrap_interrupt<R>(r: Result<R, Interrupt>) -> R {
-    match r {
-        Ok(v) => v,
-        Err(Interrupt::Panicked(p)) => std::panic::resume_unwind(p),
-        Err(Interrupt::Cancelled(reason)) => {
-            unreachable!("legacy collect cancelled ({reason:?}) without a session")
         }
     }
 }

@@ -57,13 +57,11 @@ pub mod spliterator;
 pub mod stream;
 pub mod tie;
 pub mod truncate;
+pub mod walk;
 pub mod zip;
 
 pub use characteristics::Characteristics;
-#[allow(deprecated)]
-pub use collect::{
-    collect_par, collect_par_with, collect_seq, default_leaf_size, run_leaf, try_collect_with,
-};
+pub use collect::{default_leaf_size, run_leaf, try_collect_with};
 pub use collector::{
     Collector, CountCollector, ExtremumCollector, FnCollector, JoiningCollector, ReduceCollector,
     VecCollector,

@@ -3,12 +3,13 @@
 //! `findAny`), executed by a driver that prunes the fork-join tree
 //! instead of draining it.
 //!
-//! The driver reuses the collect machinery wholesale — split policies,
-//! the tuner's plan cache, pool fallbacks, and the fused-borrow leaf
-//! protocol (predicates run push-style over *borrowed* source runs, so
-//! a `map`/`filter` chain is searched without materializing it) — but
-//! replaces the combine phase with shared search state and adds two
-//! short-circuit mechanisms:
+//! The driver reuses the collect machinery wholesale — the split-tree
+//! walker ([`crate::walk`]) with its split policies, the tuner's plan
+//! cache, pool fallbacks, and the fused-borrow leaf protocol
+//! (predicates run push-style over *borrowed* source runs, so a
+//! `map`/`filter` chain is searched without materializing it) — but
+//! replaces the combine phase with shared search state
+//! ([`walk::Combine::Skip`]) and adds two short-circuit mechanisms:
 //!
 //! * **`Found` cancellation** — when a leaf records a decisive hit
 //!   (`any_match`, `find_any`), it first publishes the hit to the shared
@@ -68,14 +69,13 @@
 //! prefix is first in encounter order, a probe hit is globally first
 //! and decisive for every terminal, `find_first` included.
 
-use crate::collect::default_leaf_size;
 use crate::exec::{ExecConfig, ExecError, ExecMode, ExecSession, Interrupt};
 use crate::spliterator::Spliterator;
-use forkjoin::{
-    current_probe, demand_split, join, CancelReason, CancelToken, ForkJoinPool, SplitPolicy,
-};
+use crate::walk::{self, Combine, Terminal};
+use forkjoin::{CancelReason, CancelToken};
 use parking_lot::Mutex;
-use plobs::{Event, FallbackReason, LeafRoute};
+use plobs::{Event, LeafRoute};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -358,13 +358,13 @@ fn scan_run<T, P: Fn(&T) -> bool>(items: &[T], pred: &P) -> (u64, Option<usize>)
     (done as u64, None)
 }
 
-/// One leaf node of the search recursion: scans the remaining elements
-/// in encounter order under panic containment, stopping at the first
-/// predicate match; the hit is recorded in the sink at its encounter
-/// key (`keys.0 + delivered-position · keys.1`, so virtual keys pass
-/// `(base, 1)` and ranked leaves pass their `(rank_base, rank_step)`)
-/// and, when decisive, trips `Found` — strictly *after* the sink
-/// recorded it.
+/// One search leaf: scans the remaining elements in encounter order,
+/// stopping at the first predicate match; the hit is recorded in the
+/// sink at its encounter key (`keys.0 + delivered-position · keys.1`, so
+/// virtual keys pass `(base, 1)` and ranked leaves pass their
+/// `(rank_base, rank_step)`) and, when decisive, trips `Found` on
+/// `token` — strictly *after* the sink recorded it. Callers run it under
+/// panic containment.
 ///
 /// Route selection mirrors [`crate::collect::run_leaf`]: a borrowed
 /// contiguous run takes the chunked [`scan_run`] (the predicate sees
@@ -380,91 +380,86 @@ fn search_leaf<T, S, P, K>(
     pred: &P,
     sink: &K,
     keys: (usize, usize),
-    session: &SearchSession,
-) -> Result<(), Interrupt>
-where
+    token: &CancelToken,
+) where
     S: Spliterator<T>,
     P: Fn(&T) -> bool,
     K: SearchSink<T> + ?Sized,
 {
     let (key_base, key_step) = keys;
-    let token = session.token().clone();
-    let observe = plobs::enabled();
-    let start = if observe { Some(Instant::now()) } else { None };
-    let (route, items) = session.run(|| {
-        // Record-before-cancel: the sink holds the hit before any
-        // sibling can observe the Found trip. Within a leaf the first
-        // match is the leaf's earliest delivered element, so every sink
-        // stops the scan there.
-        let record = |local: usize, x: &T| {
-            let key = key_base.saturating_add(local.saturating_mul(key_step));
-            if sink.hit(key, x) {
-                token.cancel(CancelReason::Found);
-            }
-        };
-        if let Some((items, step)) = source.try_as_strided() {
-            let (scanned, hit) = if step == 1 {
-                scan_run(items, pred)
-            } else {
-                // Strided residue class (zip leaves): scalar early-exit
-                // scan — these runs are short by construction.
-                let mut scanned = 0u64;
-                let mut hit = None;
-                for (j, x) in items.iter().step_by(step).enumerate() {
-                    scanned += 1;
-                    if pred(x) {
-                        hit = Some(j);
-                        break;
-                    }
-                }
-                (scanned, hit)
-            };
-            let route = if step == 1 {
-                LeafRoute::ZeroCopySlice
-            } else {
-                LeafRoute::ZeroCopyStrided
-            };
-            match hit {
-                Some(local) => record(local, &items[local * step]),
-                None => source.mark_drained(),
-            }
-            return (route, scanned);
+    let start = plobs::enabled().then(Instant::now);
+    // Record-before-cancel: the sink holds the hit before any sibling
+    // can observe the Found trip. Within a leaf the first match is the
+    // leaf's earliest delivered element, so every sink stops the scan
+    // there.
+    let record = |local: usize, x: &T| {
+        let key = key_base.saturating_add(local.saturating_mul(key_step));
+        if sink.hit(key, x) {
+            token.cancel(CancelReason::Found);
         }
+    };
+    let (route, items) = if let Some((items, step)) = source.try_as_strided() {
+        let (scanned, hit) = if step == 1 {
+            scan_run(items, pred)
+        } else {
+            // Strided residue class (zip leaves): scalar early-exit
+            // scan — these runs are short by construction.
+            let mut scanned = 0u64;
+            let mut hit = None;
+            for (j, x) in items.iter().step_by(step).enumerate() {
+                scanned += 1;
+                if pred(x) {
+                    hit = Some(j);
+                    break;
+                }
+            }
+            (scanned, hit)
+        };
+        let route = if step == 1 {
+            LeafRoute::ZeroCopySlice
+        } else {
+            LeafRoute::ZeroCopyStrided
+        };
+        match hit {
+            Some(local) => record(local, &items[local * step]),
+            None => source.mark_drained(),
+        }
+        (route, scanned)
+    } else {
         let mut delivered = 0usize;
         // fused_search leaves a fully-scanned source drained itself.
-        if source
-            .fused_search(&mut |x| {
-                let local = delivered;
-                delivered += 1;
-                if pred(x) {
-                    record(local, x);
-                    true
-                } else {
-                    false
-                }
-            })
-            .is_some()
-        {
-            return (LeafRoute::FusedBorrow, delivered as u64);
-        }
-        // Cloning drain: advance one element at a time so a hit stops
-        // the scan with at most one element of overrun.
-        let mut stopped = false;
-        loop {
-            let more = source.try_advance(&mut |x| {
-                let local = delivered;
-                delivered += 1;
-                if !stopped && pred(&x) {
-                    record(local, &x);
-                    stopped = true;
-                }
-            });
-            if stopped || !more {
-                break;
+        let fused = source.fused_search(&mut |x| {
+            let local = delivered;
+            delivered += 1;
+            if pred(x) {
+                record(local, x);
+                true
+            } else {
+                false
             }
+        });
+        if fused.is_some() {
+            (LeafRoute::FusedBorrow, delivered as u64)
+        } else {
+            // Cloning drain: advance one element at a time so a hit
+            // stops the scan with at most one element of overrun.
+            let mut stopped = false;
+            loop {
+                let more = source.try_advance(&mut |x| {
+                    let local = delivered;
+                    delivered += 1;
+                    if !stopped && pred(&x) {
+                        record(local, &x);
+                        stopped = true;
+                    }
+                });
+                if stopped || !more {
+                    break;
+                }
+            }
+            (LeafRoute::CloningDrain, delivered as u64)
         }
-        (LeafRoute::CloningDrain, delivered as u64)
-    })?;
+    };
     if let Some(start) = start {
         plobs::emit(Event::Leaf {
             route,
@@ -472,7 +467,6 @@ where
             ns: start.elapsed().as_nanos() as u64,
         });
     }
-    Ok(())
 }
 
 /// Elements the parallel driver scans *inline on the calling thread*
@@ -563,12 +557,12 @@ where
 }
 
 /// The guarded sequential route: one checkpoint, then the whole source
-/// as a single leaf. Also the degradation target when the parallel
-/// route's pool is unavailable or saturated, and the ordered-terminal
-/// escape hatch for *opaque* sources (no encounter rank AND
-/// interleaving splits — e.g. a filter chain over a zip decomposition),
-/// where neither keyspace can order parallel hits but a single
-/// `try_advance` drain is encounter order by definition.
+/// as a single contained leaf. Also the degradation target when the
+/// parallel route's pool is unavailable or saturated, and the
+/// ordered-terminal escape hatch for *opaque* sources (no encounter rank
+/// AND interleaving splits — e.g. a filter chain over a zip
+/// decomposition), where neither keyspace can order parallel hits but a
+/// single `try_advance` drain is encounter order by definition.
 fn search_leaf_all<T, S, P, K>(
     source: &mut S,
     pred: &P,
@@ -586,199 +580,96 @@ where
     }
     // One whole-source leaf: its first delivered match is the global
     // encounter-order first, so the key lattice `(0, 1)` is exact.
-    search_leaf(source, pred, sink, (0, 1), session)
+    session.run(|| search_leaf(source, pred, sink, (0, 1), session.token()))
 }
 
-/// The parallel search recursion — the collect driver's skeleton
-/// (`try_recurse`) with search checkpoints: node entry observes both
-/// the `Found` trip and the encounter-order bound, and sibling results
-/// merge by interrupt priority alone (there is no combine work; the
-/// answer lives in the shared sink).
-#[allow(clippy::too_many_arguments)] // mirrors collect::try_recurse's frame
-fn try_search_recurse<T, S, P, K>(
-    mut source: S,
-    pred: Arc<P>,
+/// The parallel search's subtree protocol for the split-tree walker: a
+/// node is a spliterator plus its virtual key base. Node entry observes
+/// both the `Found` trip (the walker's checkpoint) and the
+/// encounter-order bound ([`Terminal::prune`]); sibling results merge by
+/// interrupt priority alone, because the answer lives in the shared
+/// sink ([`Combine::Skip`]).
+struct SearchWalk<T, S, P, K> {
+    pred: P,
     sink: Arc<K>,
-    policy: SplitPolicy,
-    cap: u32,
-    depth: u32,
-    steals_seen: u64,
     mode: OrderMode,
-    base: usize,
-    session: &SearchSession,
-) -> Result<(), Interrupt>
+    session: SearchSession,
+    _source: PhantomData<fn(S) -> T>,
+}
+
+impl<T, S, P, K> Terminal for SearchWalk<T, S, P, K>
 where
     T: Send + 'static,
     S: Spliterator<T> + 'static,
     P: Fn(&T) -> bool + Send + Sync + 'static,
     K: SearchSink<T>,
 {
-    // Node-entry checkpoint: a Found trip prunes this whole subtree as
-    // success (the split decision and leaf entry are both covered, so
-    // this is the "next split/leaf checkpoint" of the contract).
-    if session.check()? {
-        plobs::emit(Event::EarlyExit { leaves_pruned: 1 });
-        return Ok(());
-    }
-    // Encounter-order pruning: everything in this subtree sits at
-    // encounter key ≥ the subtree's key base — the threaded virtual
-    // base, or (Ranked) the node's own rank base, which each split
-    // keeps as the minimum remaining rank. A recorded hit at or before
-    // that base makes the subtree irrelevant. A rank-less node in
-    // Ranked mode (contract violation, asserted in `leaf_keys`)
-    // degrades to base 0, which never wrongly prunes.
-    let prune_base = match mode {
-        OrderMode::Virtual => base,
-        OrderMode::Ranked => source.encounter_rank().map_or(0, |(b, _)| b),
-    };
-    if sink.bound() <= prune_base {
-        plobs::emit(Event::EarlyExit { leaves_pruned: 1 });
-        return Ok(());
-    }
-    // Stop decision — identical to the collect driver: exact sizes may
-    // stop on the leaf threshold; upper-bound estimates descend to the
-    // depth cap and let `try_split` refusal terminate.
-    let exact = source.exact_size();
-    let mut steals_next = steals_seen;
-    let stop = match policy {
-        SplitPolicy::Fixed(leaf_size) => match exact {
-            Some(size) => size <= leaf_size,
-            None => depth >= cap,
-        },
-        SplitPolicy::Adaptive(a) => {
-            if depth >= cap || exact.is_some_and(|size| size <= a.min_leaf) {
-                true
-            } else {
-                let (wants_split, now) = demand_split(a.surplus, steals_seen);
-                steals_next = now;
-                !wants_split
-            }
-        }
-    };
-    if stop {
-        let keys = leaf_keys(&source, mode, base);
-        return search_leaf(&mut source, &*pred, &*sink, keys, session);
-    }
-    let observe = plobs::enabled();
-    let descend_start = if observe { Some(Instant::now()) } else { None };
-    match source.try_split() {
-        None => {
-            let keys = leaf_keys(&source, mode, base);
-            search_leaf(&mut source, &*pred, &*sink, keys, session)
-        }
-        Some(prefix) => {
-            if let Some(start) = descend_start {
-                plobs::emit(Event::Split {
-                    depth,
-                    adaptive: policy.is_adaptive(),
-                });
-                plobs::emit(Event::DescendNs {
-                    ns: start.elapsed().as_nanos() as u64,
-                });
-            }
-            // Virtual keyspace only: the suffix's base advances by the
-            // prefix's estimate — an upper bound on what the prefix can
-            // deliver, which keeps virtual indices strictly increasing
-            // with encounter order across the whole tree (sound because
-            // Virtual mode implies prefix-order splits). Ranked nodes
-            // ignore the threaded base and re-derive their own.
-            let suffix_base = match mode {
-                OrderMode::Virtual => base.saturating_add(prefix.estimate_size()),
-                OrderMode::Ranked => base,
-            };
-            let p_left = Arc::clone(&pred);
-            let p_right = Arc::clone(&pred);
-            let k_left = Arc::clone(&sink);
-            let k_right = Arc::clone(&sink);
-            let s_left = session.clone();
-            let s_right = session.clone();
-            let (left, right) = join(
-                move || {
-                    try_search_recurse(
-                        prefix,
-                        p_left,
-                        k_left,
-                        policy,
-                        cap,
-                        depth + 1,
-                        steals_next,
-                        mode,
-                        base,
-                        &s_left,
-                    )
-                },
-                move || {
-                    try_search_recurse(
-                        source,
-                        p_right,
-                        k_right,
-                        policy,
-                        cap,
-                        depth + 1,
-                        steals_next,
-                        mode,
-                        suffix_base,
-                        &s_right,
-                    )
-                },
-            );
-            // No combine work to skip — merging is interrupt priority
-            // only, so the combine checkpoint of the collect driver has
-            // no analogue here.
-            match (left, right) {
-                (Ok(()), Ok(())) => Ok(()),
-                (Err(a), Err(b)) => Err(a.merge(b)),
-                (Err(a), Ok(())) | (Ok(()), Err(a)) => Err(a),
-            }
-        }
-    }
-}
+    type Node = (S, usize);
+    type Out = ();
+    type Cut = ();
+    type Session = SearchSession;
+    const COMBINE: Combine = Combine::Skip;
 
-/// Submits the search recursion to `pool`, falling back to the calling
-/// thread when the submission loses a shutdown race — the same recorded
-/// degradation as [`crate::collect::try_par_core`].
-#[allow(clippy::too_many_arguments)] // mirrors try_search_recurse's frame
-fn try_search_par_core<T, S, P, K>(
-    pool: &ForkJoinPool,
-    source: S,
-    pred: Arc<P>,
-    sink: Arc<K>,
-    policy: SplitPolicy,
-    mode: OrderMode,
-    base: usize,
-    session: &SearchSession,
-) -> Result<(), Interrupt>
-where
-    T: Send + 'static,
-    S: Spliterator<T> + 'static,
-    P: Fn(&T) -> bool + Send + Sync + 'static,
-    K: SearchSink<T>,
-{
-    let s2 = session.clone();
-    match pool.try_install(move || {
-        // Budget the depth cap for the pool that actually executes (the
-        // fallback runs on the caller; see collect::try_par_core).
-        let probe = current_probe();
-        let threads = probe
-            .as_ref()
-            .map_or_else(|| forkjoin::global_pool().threads(), |p| p.threads());
-        let cap = policy.depth_cap(threads);
-        let steals = probe.map_or(0, |p| p.steal_pressure());
-        try_search_recurse(source, pred, sink, policy, cap, 0, steals, mode, base, &s2)
-    }) {
-        Ok(r) => r,
-        Err(f) => {
-            plobs::emit(Event::Fallback {
-                reason: FallbackReason::SubmitFailed,
-            });
-            f()
-        }
+    fn session(&self) -> &SearchSession {
+        &self.session
     }
+
+    fn exact_size(&self, (source, _): &(S, usize)) -> Option<usize> {
+        source.exact_size()
+    }
+
+    /// Everything in a subtree sits at encounter key ≥ its key base —
+    /// the threaded virtual base, or (Ranked) the node's own rank base,
+    /// which each split keeps as the minimum remaining rank. A recorded
+    /// hit at or before that base makes the subtree irrelevant. A
+    /// rank-less node in Ranked mode (contract violation, asserted in
+    /// `leaf_keys`) degrades to base 0, which never wrongly prunes.
+    fn prune(&self, (source, base): &(S, usize)) -> bool {
+        let prune_base = match self.mode {
+            OrderMode::Virtual => *base,
+            OrderMode::Ranked => source.encounter_rank().map_or(0, |(b, _)| b),
+        };
+        self.sink.bound() <= prune_base
+    }
+
+    fn pruned(&self) {}
+
+    fn split(
+        &self,
+        (mut source, base): (S, usize),
+    ) -> Result<((S, usize), (S, usize), ()), (S, usize)> {
+        let Some(prefix) = source.try_split() else {
+            return Err((source, base));
+        };
+        // Virtual keyspace only: the suffix's base advances by the
+        // prefix's estimate — an upper bound on what the prefix can
+        // deliver, which keeps virtual indices strictly increasing with
+        // encounter order across the whole tree (sound because Virtual
+        // mode implies prefix-order splits). Ranked nodes ignore the
+        // threaded base and re-derive their own.
+        let suffix_base = match self.mode {
+            OrderMode::Virtual => base.saturating_add(prefix.estimate_size()),
+            OrderMode::Ranked => base,
+        };
+        Ok(((prefix, base), (source, suffix_base), ()))
+    }
+
+    fn leaf(&self, (mut source, base): (S, usize)) {
+        let keys = leaf_keys(&source, self.mode, base);
+        search_leaf(
+            &mut source,
+            &self.pred,
+            &*self.sink,
+            keys,
+            self.session.token(),
+        );
+    }
+
+    fn combine(&self, (): (), (): (), (): ()) {}
 }
 
 /// The unified fallible search driver: mode dispatch, pool resolution,
-/// saturation/shutdown fallbacks and split-policy precedence (explicit
-/// beats tuner beats static heuristic) exactly as
+/// saturation/shutdown fallbacks and split-policy precedence exactly as
 /// [`crate::collect::try_collect_with`]; `kind` labels the terminal in
 /// the tuner's fingerprint so searches and collects over the same
 /// source tune independently.
@@ -793,7 +684,7 @@ where
 /// consult keys decisively, so they keep the parallel route regardless.
 fn try_search_with<T, S, P, K>(
     source: S,
-    pred: Arc<P>,
+    pred: P,
     sink: Arc<K>,
     cfg: &ExecConfig,
     kind: &'static str,
@@ -806,29 +697,22 @@ where
     K: SearchSink<T>,
 {
     let session = SearchSession::new(cfg);
+    let mut source = source;
     let mode = if source.encounter_rank().is_some() {
         OrderMode::Ranked
     } else {
         OrderMode::Virtual
     };
+    let opaque = ordered && mode == OrderMode::Virtual && !source.prefix_splits();
     let result = match cfg.mode() {
-        ExecMode::Seq => {
-            let mut source = source;
-            search_leaf_all(&mut source, &*pred, &*sink, &session)
-        }
-        ExecMode::Par if ordered && mode == OrderMode::Virtual && !source.prefix_splits() => {
-            // Opaque source + ordered terminal: splitting would
-            // interleave encounter order with no ranks to re-sort hits,
-            // so correctness wins over parallelism — one sequential
-            // whole-scan (its first delivered match is the global
-            // first).
-            let mut source = source;
-            search_leaf_all(&mut source, &*pred, &*sink, &session)
-        }
+        // Opaque source + ordered terminal: splitting would interleave
+        // encounter order with no ranks to re-sort hits, so correctness
+        // wins over parallelism.
+        ExecMode::Seq => search_leaf_all(&mut source, &pred, &*sink, &session),
+        ExecMode::Par if opaque => search_leaf_all(&mut source, &pred, &*sink, &session),
         ExecMode::Par => {
-            let mut source = source;
             let probed = if source.exact_size().is_some() {
-                probe_root(&mut source, &*pred, &*sink, &session)
+                probe_root(&mut source, &pred, &*sink, &session)
             } else {
                 // Non-SIZED (filtering) pipelines skip the probe: one
                 // try_advance may drain the whole underlying source.
@@ -838,58 +722,27 @@ where
                 Err(i) => Err(i),
                 Ok(Probe::Answered) => Ok(()),
                 Ok(Probe::Miss(probed)) => {
-                    let global;
-                    let pool: &ForkJoinPool = match cfg.pool() {
-                        Some(p) => p,
-                        None => {
-                            global = forkjoin::global_pool();
-                            global
-                        }
-                    };
-                    let fallback = if pool.is_shut_down() {
-                        Some(FallbackReason::SubmitFailed)
-                    } else if cfg
-                        .fallback_threshold()
-                        .is_some_and(|t| pool.queued_tasks() > t)
-                    {
-                        Some(FallbackReason::PoolSaturated)
-                    } else {
-                        None
-                    };
-                    match fallback {
+                    let pool = walk::pool_of(cfg);
+                    match walk::fallback_reason(pool, cfg) {
                         Some(reason) => {
                             plobs::emit(Event::Fallback { reason });
-                            // Degraded single-leaf scan of the (post-
-                            // probe) remainder; in Virtual mode the
-                            // probe consumed the first `probed` keys.
+                            // Degraded single-leaf scan of the
+                            // post-probe remainder.
                             let keys = leaf_keys(&source, mode, probed);
-                            search_leaf(&mut source, &*pred, &*sink, keys, &session)
+                            session.run(|| {
+                                search_leaf(&mut source, &pred, &*sink, keys, session.token())
+                            })
                         }
                         None => {
-                            let policy = cfg
-                                .policy()
-                                .or_else(|| {
-                                    cfg.tuner().and_then(|cache| {
-                                        let exact = source.exact_size();
-                                        let fp = pltune::Fingerprint::new(
-                                            std::any::type_name::<S>(),
-                                            kind,
-                                            exact.unwrap_or_else(|| source.estimate_size()),
-                                            exact.is_some(),
-                                            pool.threads(),
-                                        );
-                                        pltune::resolve(cache, pool, &fp)
-                                    })
-                                })
-                                .unwrap_or_else(|| {
-                                    SplitPolicy::Fixed(default_leaf_size(
-                                        source.estimate_size(),
-                                        pool.threads(),
-                                    ))
-                                });
-                            try_search_par_core(
-                                pool, source, pred, sink, policy, mode, probed, &session,
-                            )
+                            let policy = walk::resolve_policy(cfg, pool, &source, kind);
+                            let search = SearchWalk {
+                                pred,
+                                sink,
+                                mode,
+                                session: session.clone(),
+                                _source: PhantomData,
+                            };
+                            walk::submit(pool, Arc::new(search), (source, probed), policy)
                         }
                     }
                 }
@@ -911,7 +764,7 @@ where
     let sink = Arc::new(ExistsSink::default());
     try_search_with(
         source,
-        Arc::new(pred),
+        pred,
         Arc::clone(&sink),
         cfg,
         "jstreams::search::any_match",
@@ -955,7 +808,7 @@ where
     });
     try_search_with(
         source,
-        Arc::new(|_: &T| true),
+        |_: &T| true,
         Arc::clone(&sink),
         cfg,
         "jstreams::search::find_any",
@@ -979,7 +832,7 @@ where
     });
     try_search_with(
         source,
-        Arc::new(|_: &T| true),
+        |_: &T| true,
         Arc::clone(&sink),
         cfg,
         "jstreams::search::find_first",
@@ -1192,16 +1045,18 @@ mod tests {
             let sink = Arc::new(FirstSink {
                 hit: FirstHit::new(),
             });
-            let session = SearchSession::new(&cfg);
-            try_search_par_core(
+            let search = SearchWalk {
+                pred,
+                sink: Arc::clone(&sink),
+                mode: OrderMode::Ranked,
+                session: SearchSession::new(&cfg),
+                _source: PhantomData,
+            };
+            walk::submit(
                 &p,
-                src,
-                Arc::new(pred),
-                Arc::clone(&sink),
-                SplitPolicy::Fixed(1),
-                OrderMode::Ranked,
-                0,
-                &session,
+                Arc::new(search),
+                (src, 0),
+                forkjoin::SplitPolicy::Fixed(1),
             )
             .unwrap();
             assert_eq!(sink.hit.take(), Some((1, 1)));

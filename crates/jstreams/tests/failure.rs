@@ -6,16 +6,32 @@
 //! their size degrade to correct (if suboptimal) execution rather than
 //! corrupting results.
 
-// These tests deliberately exercise the legacy collect entry points.
-#![allow(deprecated)]
-
 use forkjoin::ForkJoinPool;
 use jstreams::{
-    collect_par, stream_support, Characteristics, Collector, ItemSource, LeafAccess,
-    SliceSpliterator, Spliterator, VecCollector,
+    stream_support, try_collect_with, Characteristics, Collector, ExecConfig, ExecError,
+    ItemSource, LeafAccess, SliceSpliterator, Spliterator, VecCollector,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+
+/// Splice collect on `pool` at a fixed leaf size, resuming a contained
+/// panic on the caller as the infallible terminals do.
+fn collect_par<S, C>(pool: &Arc<ForkJoinPool>, source: S, collector: C, leaf: usize) -> C::Out
+where
+    S: Spliterator<i64> + 'static,
+    C: Collector<i64> + 'static,
+    C::Out: 'static,
+{
+    let cfg = ExecConfig::par()
+        .with_pool(Arc::clone(pool))
+        .with_leaf_size(leaf)
+        .with_placement(false);
+    match try_collect_with(source, collector, &cfg) {
+        Ok(out) => out,
+        Err(ExecError::Panicked(payload)) => std::panic::resume_unwind(payload),
+        Err(e) => panic!("collect failed: {e}"),
+    }
+}
 
 /// A collector whose accumulator panics on a poison value.
 struct PanickyCollector;
@@ -45,22 +61,17 @@ impl Collector<i64> for PanickyCollector {
 
 #[test]
 fn accumulator_panic_propagates_and_pool_survives() {
-    let pool = ForkJoinPool::new(2);
+    let pool = Arc::new(ForkJoinPool::new(2));
     let data: Vec<i64> = (0..100).collect(); // contains 13
     let r = catch_unwind(AssertUnwindSafe(|| {
-        collect_par(
-            &pool,
-            SliceSpliterator::new(data),
-            Arc::new(PanickyCollector),
-            8,
-        )
+        collect_par(&pool, SliceSpliterator::new(data), PanickyCollector, 8)
     }));
     assert!(r.is_err(), "panic must reach the caller");
     // The pool still works afterwards.
     let ok = collect_par(
         &pool,
         SliceSpliterator::new(vec![1i64, 2, 3]),
-        Arc::new(VecCollector),
+        VecCollector,
         1,
     );
     assert_eq!(ok, vec![1, 2, 3]);
@@ -85,12 +96,12 @@ fn combiner_panic_propagates() {
             acc
         }
     }
-    let pool = ForkJoinPool::new(2);
+    let pool = Arc::new(ForkJoinPool::new(2));
     let r = catch_unwind(AssertUnwindSafe(|| {
         collect_par(
             &pool,
             SliceSpliterator::new((0..64i64).collect()),
-            Arc::new(BadCombiner),
+            BadCombiner,
             8,
         )
     }));
@@ -133,13 +144,13 @@ impl Spliterator<i64> for SizeLiar {
 
 #[test]
 fn overestimating_source_still_collects_correctly() {
-    let pool = ForkJoinPool::new(2);
+    let pool = Arc::new(ForkJoinPool::new(2));
     let out = collect_par(
         &pool,
         SizeLiar {
             inner: SliceSpliterator::new((0..200i64).collect()),
         },
-        Arc::new(VecCollector),
+        VecCollector,
         4,
     );
     assert_eq!(out, (0..200).collect::<Vec<_>>());
@@ -179,13 +190,13 @@ impl Spliterator<i64> for Unsplittable {
 
 #[test]
 fn unsplittable_source_runs_sequentially() {
-    let pool = ForkJoinPool::new(4);
+    let pool = Arc::new(ForkJoinPool::new(4));
     let out = collect_par(
         &pool,
         Unsplittable {
             inner: SliceSpliterator::new((0..50i64).collect()),
         },
-        Arc::new(VecCollector),
+        VecCollector,
         1,
     );
     assert_eq!(out, (0..50).collect::<Vec<_>>());

@@ -6,14 +6,11 @@
 //! slice kernel, and that the zero-copy dispatch actually bypasses the
 //! cloning drain.
 
-// These tests deliberately exercise the legacy collect entry points.
-#![allow(deprecated)]
-
 use forkjoin::ForkJoinPool;
 use jstreams::{
-    collect_par, collect_seq, power_stream, require_power2, run_leaf, Collector, Decomposition,
-    ItemSource, LeafAccess, ReduceCollector, SliceSpliterator, Spliterator, TieSpliterator,
-    VecCollector, ZipSpliterator,
+    power_stream, require_power2, run_leaf, try_collect_with, Collector, Decomposition, ExecConfig,
+    ExecError, ItemSource, LeafAccess, ReduceCollector, SliceSpliterator, Spliterator,
+    TieSpliterator, VecCollector, ZipSpliterator,
 };
 use powerlist::tabulate;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,6 +26,30 @@ fn serial() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Collects through the fallible driver and resumes a contained panic
+/// on the caller, as the infallible terminals do. Placement is off: these
+/// tests pin the splice route's leaf kernels.
+fn collect<T, S, C>(source: S, collector: C, cfg: ExecConfig) -> C::Out
+where
+    T: Send + 'static,
+    S: Spliterator<T> + 'static,
+    C: Collector<T> + 'static,
+    C::Out: 'static,
+{
+    match try_collect_with(source, collector, &cfg.with_placement(false)) {
+        Ok(out) => out,
+        Err(ExecError::Panicked(payload)) => std::panic::resume_unwind(payload),
+        Err(e) => panic!("collect failed: {e}"),
+    }
+}
+
+/// Parallel execution on `pool`, splitting to `leaf`.
+fn par(pool: &Arc<ForkJoinPool>, leaf: usize) -> ExecConfig {
+    ExecConfig::par()
+        .with_pool(Arc::clone(pool))
+        .with_leaf_size(leaf)
+}
+
 // ---------------------------------------------------------------------
 // Singleton leaves (leaf_size 1)
 // ---------------------------------------------------------------------
@@ -38,14 +59,13 @@ fn leaf_size_one_tie_and_zip() {
     let _serial = serial();
     // Every leaf is a single borrowed element; both decompositions must
     // still reassemble correctly through their combiners.
-    let pool = ForkJoinPool::new(2);
+    let pool = Arc::new(ForkJoinPool::new(2));
     let list = tabulate(16, |i| i as i64).unwrap();
 
-    let tie = collect_par(
-        &pool,
+    let tie = collect(
         TieSpliterator::over(list.clone()),
-        Arc::new(ReduceCollector::new(0i64, |a, b| a + b)),
-        1,
+        ReduceCollector::new(0i64, |a, b| a + b),
+        par(&pool, 1),
     );
     assert_eq!(tie, (0..16).sum::<i64>());
 
@@ -54,12 +74,7 @@ fn leaf_size_one_tie_and_zip() {
     // borrowed singleton runs must reproduce it exactly like the
     // cloning drain did.
     let list4 = tabulate(4, |i| i).unwrap();
-    let out = collect_par(
-        &pool,
-        ZipSpliterator::over(list4),
-        Arc::new(VecCollector),
-        1,
-    );
+    let out = collect(ZipSpliterator::over(list4), VecCollector, par(&pool, 1));
     assert_eq!(out, vec![0, 2, 1, 3]);
 }
 
@@ -69,7 +84,10 @@ fn singleton_source_is_a_borrowed_leaf() {
     let list = tabulate(1, |_| 41i64).unwrap();
     let sp = TieSpliterator::over(list);
     assert_eq!(sp.try_as_slice(), Some(&[41i64][..]));
-    assert_eq!(collect_seq(sp, &ReduceCollector::new(1, |a, b| a + b)), 42);
+    assert_eq!(
+        collect(sp, ReduceCollector::new(1, |a, b| a + b), ExecConfig::seq()),
+        42
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -233,31 +251,33 @@ impl Collector<i64> for PoisonSliceKernel {
 #[test]
 fn leaf_kernel_panic_propagates_par_and_seq() {
     let _serial = serial();
-    let pool = ForkJoinPool::new(2);
+    let pool = Arc::new(ForkJoinPool::new(2));
     let list = tabulate(64, |i| i as i64).unwrap(); // contains 13
 
     let r = catch_unwind(AssertUnwindSafe(|| {
-        collect_par(
-            &pool,
+        collect(
             TieSpliterator::over(list.clone()),
-            Arc::new(PoisonSliceKernel),
-            8,
+            PoisonSliceKernel,
+            par(&pool, 8),
         )
     }));
     assert!(r.is_err(), "parallel kernel panic must reach the caller");
 
     let r = catch_unwind(AssertUnwindSafe(|| {
-        collect_seq(TieSpliterator::over(list.clone()), &PoisonSliceKernel)
+        collect(
+            TieSpliterator::over(list.clone()),
+            PoisonSliceKernel,
+            ExecConfig::seq(),
+        )
     }));
     assert!(r.is_err(), "sequential kernel panic must reach the caller");
 
     // The pool survives for later work, and clean inputs still collect.
     let clean = tabulate(4, |i| (i as i64) + 100).unwrap();
-    let ok = collect_par(
-        &pool,
+    let ok = collect(
         TieSpliterator::over(clean),
-        Arc::new(PoisonSliceKernel),
-        2,
+        PoisonSliceKernel,
+        par(&pool, 2),
     );
     assert_eq!(ok, 100 + 101 + 102 + 103);
 }
@@ -266,20 +286,17 @@ fn leaf_kernel_panic_propagates_par_and_seq() {
 // Dispatch: the zero-copy path must bypass the cloning drain
 // ---------------------------------------------------------------------
 
-/// Counts which leaf route ran.
+/// Counts which leaf route ran; clones share the counters.
+#[derive(Clone, Default)]
 struct RouteCounter {
-    slice_leaves: AtomicUsize,
-    strided_leaves: AtomicUsize,
-    cloned_items: AtomicUsize,
+    slice_leaves: Arc<AtomicUsize>,
+    strided_leaves: Arc<AtomicUsize>,
+    cloned_items: Arc<AtomicUsize>,
 }
 
 impl RouteCounter {
     fn new() -> Self {
-        RouteCounter {
-            slice_leaves: AtomicUsize::new(0),
-            strided_leaves: AtomicUsize::new(0),
-            cloned_items: AtomicUsize::new(0),
-        }
+        RouteCounter::default()
     }
 }
 
@@ -318,10 +335,10 @@ impl Collector<i64> for RouteCounter {
 #[test]
 fn tie_collect_uses_only_slice_kernels() {
     let _serial = serial();
-    let pool = ForkJoinPool::new(2);
+    let pool = Arc::new(ForkJoinPool::new(2));
     let list = tabulate(64, |i| i as i64).unwrap();
-    let collector = Arc::new(RouteCounter::new());
-    let out = collect_par(&pool, TieSpliterator::over(list), Arc::clone(&collector), 8);
+    let collector = RouteCounter::new();
+    let out = collect(TieSpliterator::over(list), collector.clone(), par(&pool, 8));
     assert_eq!(out, (0..64).sum::<i64>());
     assert_eq!(collector.slice_leaves.load(Ordering::Relaxed), 8);
     assert_eq!(collector.strided_leaves.load(Ordering::Relaxed), 0);
@@ -335,10 +352,10 @@ fn tie_collect_uses_only_slice_kernels() {
 #[test]
 fn zip_collect_uses_strided_kernels_after_splitting() {
     let _serial = serial();
-    let pool = ForkJoinPool::new(2);
+    let pool = Arc::new(ForkJoinPool::new(2));
     let list = tabulate(64, |i| i as i64).unwrap();
-    let collector = Arc::new(RouteCounter::new());
-    let out = collect_par(&pool, ZipSpliterator::over(list), Arc::clone(&collector), 8);
+    let collector = RouteCounter::new();
+    let out = collect(ZipSpliterator::over(list), collector.clone(), par(&pool, 8));
     assert_eq!(out, (0..64).sum::<i64>());
     assert_eq!(collector.slice_leaves.load(Ordering::Relaxed), 0);
     assert_eq!(collector.strided_leaves.load(Ordering::Relaxed), 8);
@@ -370,14 +387,13 @@ fn opaque_sources_still_use_the_cloning_drain() {
 #[test]
 fn recorded_tie_collect_reports_slice_route_only() {
     let _serial = serial();
-    let pool = ForkJoinPool::new(2);
+    let pool = Arc::new(ForkJoinPool::new(2));
     let list = tabulate(64, |i| i as i64).unwrap();
     let (out, report) = plobs::recorded(|| {
-        collect_par(
-            &pool,
+        collect(
             TieSpliterator::over(list),
-            Arc::new(RouteCounter::new()),
-            8,
+            RouteCounter::new(),
+            par(&pool, 8),
         )
     });
     assert_eq!(out, (0..64).sum::<i64>());
@@ -396,14 +412,13 @@ fn recorded_tie_collect_reports_slice_route_only() {
 #[test]
 fn recorded_zip_collect_reports_strided_route_only() {
     let _serial = serial();
-    let pool = ForkJoinPool::new(2);
+    let pool = Arc::new(ForkJoinPool::new(2));
     let list = tabulate(64, |i| i as i64).unwrap();
     let (out, report) = plobs::recorded(|| {
-        collect_par(
-            &pool,
+        collect(
             ZipSpliterator::over(list),
-            Arc::new(RouteCounter::new()),
-            8,
+            RouteCounter::new(),
+            par(&pool, 8),
         )
     });
     assert_eq!(out, (0..64).sum::<i64>());
@@ -422,17 +437,16 @@ fn recorded_zip_collect_reports_strided_route_only() {
 /// written once for the general strided shape. Before the step-1
 /// fallback fix, `run_leaf` only tried `leaf_slice` on contiguous runs,
 /// so this collector was silently demoted to the cloning drain.
+/// Clones share the counters.
+#[derive(Clone, Default)]
 struct StridedOnlyCollector {
-    strided_leaves: AtomicUsize,
-    cloned_items: AtomicUsize,
+    strided_leaves: Arc<AtomicUsize>,
+    cloned_items: Arc<AtomicUsize>,
 }
 
 impl StridedOnlyCollector {
     fn new() -> Self {
-        StridedOnlyCollector {
-            strided_leaves: AtomicUsize::new(0),
-            cloned_items: AtomicUsize::new(0),
-        }
+        StridedOnlyCollector::default()
     }
 }
 
@@ -466,12 +480,11 @@ impl Collector<i64> for StridedOnlyCollector {
 #[test]
 fn strided_only_collector_gets_zero_copy_on_contiguous_leaves() {
     let _serial = serial();
-    let pool = ForkJoinPool::new(2);
+    let pool = Arc::new(ForkJoinPool::new(2));
     let list = tabulate(64, |i| i as i64).unwrap();
-    let collector = Arc::new(StridedOnlyCollector::new());
-    let (out, report) = plobs::recorded(|| {
-        collect_par(&pool, TieSpliterator::over(list), Arc::clone(&collector), 8)
-    });
+    let collector = StridedOnlyCollector::new();
+    let (out, report) =
+        plobs::recorded(|| collect(TieSpliterator::over(list), collector.clone(), par(&pool, 8)));
     assert_eq!(out, (0..64).sum::<i64>());
     assert_eq!(
         collector.strided_leaves.load(Ordering::Relaxed),
@@ -489,7 +502,13 @@ fn strided_only_collector_gets_zero_copy_on_contiguous_leaves() {
     // Sequential collect takes the same route: one whole-source leaf.
     let list = tabulate(16, |i| i as i64).unwrap();
     let collector = StridedOnlyCollector::new();
-    let (out, report) = plobs::recorded(|| collect_seq(TieSpliterator::over(list), &collector));
+    let (out, report) = plobs::recorded(|| {
+        collect(
+            TieSpliterator::over(list),
+            collector.clone(),
+            ExecConfig::seq(),
+        )
+    });
     assert_eq!(out, (0..16).sum::<i64>());
     assert_eq!(collector.strided_leaves.load(Ordering::Relaxed), 1);
     assert_eq!(collector.cloned_items.load(Ordering::Relaxed), 0);

@@ -1,9 +1,6 @@
 //! Ad-hoc timing breakdown of the reduce_stream path (dev diagnostics).
 
-// Profiles the legacy entry points alongside the stream route.
-#![allow(deprecated)]
-
-use jstreams::Decomposition;
+use jstreams::{try_collect_with, Decomposition, ExecConfig, ReduceCollector};
 use plbench::random_ints;
 use std::hint::black_box;
 use std::time::Instant;
@@ -51,10 +48,14 @@ fn main() {
         black_box(s);
     });
 
-    time("collect_seq on TieSpliterator", || {
+    time("try_collect_with seq on TieSpliterator", || {
         let sp = jstreams::TieSpliterator::over(black_box(data.clone()));
-        let s = jstreams::collect_seq(sp, &jstreams::ReduceCollector::new(0i64, |a, b| a + b));
-        black_box(s);
+        let s = try_collect_with(
+            sp,
+            ReduceCollector::new(0i64, |a, b| a + b),
+            &ExecConfig::seq(),
+        );
+        black_box(s.unwrap());
     });
 
     // Is the borrowed-run path actually taken?
@@ -99,32 +100,21 @@ fn main() {
         black_box(powerlist::Storage::new(raw.clone()));
     });
 
-    let pool = forkjoin::ForkJoinPool::with_default_parallelism();
+    let pool = std::sync::Arc::new(forkjoin::ForkJoinPool::with_default_parallelism());
     println!("pool threads: {}", pool.threads());
 
     time("pool.install(noop)", || {
         black_box(pool.install(|| 1i64));
     });
 
-    time("collect_par leaf=n/4", || {
-        let sp = jstreams::TieSpliterator::over(black_box(data.clone()));
-        let s = jstreams::collect_par(
-            &pool,
-            sp,
-            std::sync::Arc::new(jstreams::ReduceCollector::new(0i64, |a, b| a + b)),
-            n / 4,
-        );
-        black_box(s);
-    });
-
-    time("collect_par leaf=n (single leaf)", || {
-        let sp = jstreams::TieSpliterator::over(black_box(data.clone()));
-        let s = jstreams::collect_par(
-            &pool,
-            sp,
-            std::sync::Arc::new(jstreams::ReduceCollector::new(0i64, |a, b| a + b)),
-            n,
-        );
-        black_box(s);
-    });
+    for (label, leaf) in [("leaf=n/4", n / 4), ("leaf=n (single leaf)", n)] {
+        let cfg = ExecConfig::par()
+            .with_pool(std::sync::Arc::clone(&pool))
+            .with_leaf_size(leaf);
+        time(&format!("try_collect_with par {label}"), || {
+            let sp = jstreams::TieSpliterator::over(black_box(data.clone()));
+            let s = try_collect_with(sp, ReduceCollector::new(0i64, |a, b| a + b), &cfg);
+            black_box(s.unwrap());
+        });
+    }
 }

@@ -44,6 +44,9 @@
 //! Models must not spawn raw OS threads or touch wall-clock time, and
 //! should drive the *primitives* directly rather than a live
 //! `ForkJoinPool` (pool workers are real threads outside the model).
+//! `forkjoin::join` called off-pool on a model thread runs its second
+//! half on a spawned model thread, so divide-and-conquer code built on
+//! it (the `jstreams::walk` split-tree walker) can be modelled as is.
 //!
 //! ```
 //! use std::sync::Arc;

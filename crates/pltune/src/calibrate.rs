@@ -2,9 +2,9 @@
 //! that times it.
 //!
 //! The probe is a self-contained recursive reduce built directly on
-//! [`forkjoin::join`] that mirrors the collect driver's recursion: the
-//! same stop rules (`Fixed` stops on exact size, `Adaptive` on depth
-//! cap / `min_leaf` / [`demand_split`] demand), the same
+//! [`forkjoin::join`] that takes the split-tree walker's decisions: the
+//! same stop rule ([`SplitPolicy::stop`]: `Fixed` stops on exact size,
+//! `Adaptive` on depth cap / `min_leaf` / pool demand), the same
 //! `depth_cap(threads)` bound. It deliberately measures the *machine ×
 //! pool × granularity* trade-off rather than the user's workload — the
 //! user's source is consumed by the collect and cannot be re-run, but
@@ -19,7 +19,7 @@
 //! calibration overhead stays visible in the outer report.
 
 use crate::plan::Plan;
-use forkjoin::{demand_split, ForkJoinPool, SplitPolicy};
+use forkjoin::{ForkJoinPool, SplitPolicy};
 use std::time::Instant;
 
 /// Hard bound on probe recursion depth, over any policy's cap.
@@ -106,8 +106,10 @@ fn leaf_sum(start: u64, len: u64) -> u64 {
     acc
 }
 
-/// The probe recursion: mirrors `try_recurse`'s stop logic over an
-/// exactly-sized synthetic range.
+/// The probe recursion: the drivers' stop rule ([`SplitPolicy::stop`])
+/// over an exactly-sized synthetic range — the same decisions the
+/// split-tree walker takes over a SIZED source. It keeps its own `join`
+/// because `pltune` sits below `jstreams` in the dependency graph.
 fn reduce_node(
     start: u64,
     len: u64,
@@ -116,24 +118,10 @@ fn reduce_node(
     policy: SplitPolicy,
     steals_seen: u64,
 ) -> u64 {
-    let mut steals_next = steals_seen;
-    let stop = if len < 2 || depth >= MAX_PROBE_DEPTH {
-        true
+    let (stop, steals_next) = if len < 2 || depth >= MAX_PROBE_DEPTH {
+        (true, steals_seen)
     } else {
-        match policy {
-            // The synthetic range is exactly sized, so Fixed stops on
-            // size alone — same as the driver over a SIZED source.
-            SplitPolicy::Fixed(leaf) => len as usize <= leaf,
-            SplitPolicy::Adaptive(a) => {
-                if depth >= cap || len as usize <= a.min_leaf {
-                    true
-                } else {
-                    let (wants_split, now) = demand_split(a.surplus, steals_seen);
-                    steals_next = now;
-                    !wants_split
-                }
-            }
-        }
+        policy.stop(Some(len as usize), depth, cap, steals_seen)
     };
     if stop {
         return leaf_sum(start, len);

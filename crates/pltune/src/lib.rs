@@ -20,8 +20,8 @@
 //! * [`run_sweep`] / [`candidate_policies`] — the first-sight
 //!   calibration: a short sweep over fixed leaf sizes and the adaptive
 //!   policy, timed on a synthetic divide-and-conquer reduce built
-//!   directly on [`forkjoin::join`] that mirrors the collect driver's
-//!   recursion (same stop rules, same depth caps);
+//!   directly on [`forkjoin::join`] that takes the split-tree walker's
+//!   decisions (the same [`SplitPolicy::stop`], the same depth caps);
 //! * [`resolve`] — the one-call driver used by `jstreams` /`jplf`:
 //!   hit → cached policy (emits [`TuneOutcome::Hit`]); vacant → claim,
 //!   sweep, install, use the winner (emits [`TuneOutcome::Calibrate`]);

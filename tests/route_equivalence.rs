@@ -1587,3 +1587,171 @@ fn singleton_powerlist_never_splits() {
         assert_eq!(ps.estimate_size(), 1);
     }
 }
+
+// ---------------------------------------------------------------------
+// One split-tree walker: every binary fork-join terminal (splice and
+// placement collect, streams search, the JPLF executor and its search)
+// runs on `jstreams::walk`, so they share one tree shape and one failure
+// contract.
+// ---------------------------------------------------------------------
+
+/// Under `Fixed(leaf)` on one pool, the splice `reduce`, the placement
+/// `to_vec`, an absent-needle `any_match` and the JPLF fork-join
+/// executor cut the same tree over the same length. Search first scans
+/// a 1024-element prefix inline (one cloning-drain leaf) and walks the
+/// rest: at `n = 8 · leaf` the remaining 7/8 cut the same tree.
+#[test]
+fn every_walker_terminal_records_the_same_tree() {
+    let _exclusive = exclusive();
+    let (n, leaf) = (1usize << 13, 1usize << 10);
+    let list = powerlist::tabulate(n, |i| i as i64).unwrap();
+    let pool = Arc::new(forkjoin::ForkJoinPool::new(2));
+    let cfg = ExecConfig::par()
+        .with_pool(Arc::clone(&pool))
+        .with_leaf_size(leaf);
+    let tie = || stream_support(TieSpliterator::over(list.clone()), true);
+    let sum = (0..n as i64).sum::<i64>();
+
+    let (out, splice) = plobs::recorded(|| tie().try_reduce(0, |a, b| a + b, &cfg));
+    assert_eq!(out.unwrap(), sum);
+    let (out, place) = plobs::recorded(|| tie().try_to_vec(&cfg));
+    assert_eq!(out.unwrap().len(), n);
+    let (out, search) = plobs::recorded(|| tie().try_any_match(|x| *x < 0, &cfg));
+    assert!(!out.unwrap());
+    let exec = ForkJoinExecutor::with_pool(Arc::clone(&pool), leaf);
+    let (out, jplf) = plobs::recorded(|| {
+        exec.try_execute(
+            &PoisonSumFn(-1),
+            &list.clone().view(),
+            &jplf::ExecConfig::par(),
+        )
+    });
+    assert_eq!(out.unwrap(), sum);
+
+    assert_eq!(search.routes.cloning_drain.leaves, 1, "the root probe");
+    assert_eq!(search.routes.cloning_drain.items, 1024);
+    assert_eq!(place.combines_placement, place.splits);
+    assert_eq!(splice.combines, splice.splits);
+    assert_eq!(search.combines, 0, "search has no combine phase");
+    let trees = [
+        ("splice reduce", &splice, splice.routes.total_leaves()),
+        ("placement to_vec", &place, place.routes.total_leaves()),
+        ("any_match", &search, search.routes.total_leaves() - 1),
+        ("jplf forkjoin", &jplf, jplf.routes.total_leaves()),
+    ];
+    for (name, report, leaves) in trees {
+        assert_eq!(report.splits, 7, "{name}: {report:?}");
+        assert_eq!(leaves, 8, "{name}: {report:?}");
+    }
+}
+
+/// A search predicate over PowerList elements that panics on the
+/// element equal to its field and matches nothing.
+#[derive(Clone)]
+struct PoisonSearch(i64);
+
+impl jplf::PowerSearchFunction for PoisonSearch {
+    type Elem = i64;
+    fn matches(&self, v: &i64) -> bool {
+        assert!(*v != self.0, "route poison {v}");
+        false
+    }
+}
+
+/// One walker terminal over `list`: `cfg` carries the session limits
+/// (and, for streams, the pool); JPLF terminals run on an executor over
+/// the same pool. User code panics on the element equal to `poison`.
+type WalkerTerminal = fn(
+    &PowerList<i64>,
+    &Arc<forkjoin::ForkJoinPool>,
+    &ExecConfig,
+    i64,
+) -> Result<i64, jstreams::ExecError>;
+
+const WALKER_TERMINALS: [(&str, WalkerTerminal); 5] = [
+    ("splice collect", |list, _, cfg, poison| {
+        stream_support(TieSpliterator::over(list.clone()), true)
+            .try_collect(PoisonReduce(poison), cfg)
+    }),
+    ("placement collect", |list, _, cfg, poison| {
+        stream_support(TieSpliterator::over(list.clone()), true)
+            .map(move |x: i64| {
+                assert!(x != poison, "route poison {x}");
+                x
+            })
+            .try_to_vec(cfg)
+            .map(|v| v.iter().sum())
+    }),
+    ("streams search", |list, _, cfg, poison| {
+        stream_support(TieSpliterator::over(list.clone()), true)
+            .try_any_match(
+                move |x: &i64| {
+                    assert!(*x != poison, "route poison {x}");
+                    false
+                },
+                cfg,
+            )
+            .map(i64::from)
+    }),
+    ("jplf execute", |list, pool, cfg, poison| {
+        ForkJoinExecutor::with_pool(Arc::clone(pool), 64).try_execute(
+            &PoisonSumFn(poison),
+            &list.clone().view(),
+            cfg,
+        )
+    }),
+    ("jplf search", |list, pool, cfg, poison| {
+        use jplf::SearchExecutor;
+        ForkJoinExecutor::with_pool(Arc::clone(pool), 64)
+            .try_any_match(&PoisonSearch(poison), &list.clone().view(), cfg)
+            .map(i64::from)
+    }),
+];
+
+/// The contract every walker terminal meets: a leaf panic surfaces as
+/// `Panicked`, a pre-tripped caller token as `Cancelled`, a zero
+/// deadline as `DeadlineExceeded`, and a shut-down pool degrades to the
+/// sequential route (one recorded `SubmitFailed` fallback) with the
+/// correct value.
+#[test]
+fn walker_terminals_meet_one_failure_contract() {
+    let _exclusive = exclusive();
+    use jstreams::{CancelReason, CancelToken, ExecError};
+    let n = 1usize << 12;
+    let list = powerlist::tabulate(n, |i| i as i64).unwrap();
+    let sum = (0..n as i64).sum::<i64>();
+    // Past search's inline root probe, so the poison sits in a walked leaf.
+    let poison = 3000;
+    let absent = -1;
+    for (name, run) in WALKER_TERMINALS {
+        let expect = if name.ends_with("search") { 0 } else { sum };
+        let pool = Arc::new(forkjoin::ForkJoinPool::new(2));
+        let cfg = ExecConfig::par()
+            .with_pool(Arc::clone(&pool))
+            .with_leaf_size(64);
+
+        assert_eq!(run(&list, &pool, &cfg, absent).ok(), Some(expect), "{name}");
+
+        let err = run(&list, &pool, &cfg, poison).expect_err(name);
+        let msg = format!("route poison {poison}");
+        assert_eq!(err.panic_message(), Some(msg.as_str()), "{name}: {err}");
+
+        let token = CancelToken::new();
+        token.cancel(CancelReason::User);
+        let err = run(&list, &pool, &cfg.clone().with_cancel_token(token), absent);
+        assert!(matches!(err, Err(ExecError::Cancelled)), "{name}: {err:?}");
+
+        let zero = cfg.clone().with_deadline(std::time::Duration::ZERO);
+        let err = run(&list, &pool, &zero, absent);
+        assert!(
+            matches!(err, Err(ExecError::DeadlineExceeded { .. })),
+            "{name}: {err:?}"
+        );
+
+        pool.shutdown();
+        let (out, report) = plobs::recorded(|| run(&list, &pool, &cfg, absent));
+        assert_eq!(out.ok(), Some(expect), "{name}");
+        assert_eq!(report.fallbacks_submit, 1, "{name}: {report:?}");
+        assert_eq!(report.splits, 0, "{name}: the fallback route must not fork");
+    }
+}
