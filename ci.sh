@@ -20,6 +20,14 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> plalgo under the benchmark's codegen (target-cpu=native)"
+# streambench builds with target-cpu=native, where the power_sum kernel's
+# contiguous and fixed-step paths vectorise; the tier-1 build above only
+# exercises baseline x86-64 (SSE2) codegen. Its own target directory
+# keeps the native artifacts apart from the portable ones.
+RUSTFLAGS="$BENCH_RUSTFLAGS" CARGO_TARGET_DIR=target/native \
+cargo test -q --release -p plalgo
+
 echo "==> cargo test -q --workspace (all crates incl. plobs, doc-tests)"
 cargo test -q --workspace
 

@@ -535,37 +535,54 @@ mod tests {
         assert_eq!(fj().find_first(&Equals(100, Decomp::Tie), &p.view()), None);
     }
 
+    /// [`Equals`] whose left-half leaves are slow: the first element of
+    /// every tie leaf below `slow_below` sleeps before it is compared.
+    #[derive(Clone)]
+    struct SlowLeft {
+        needle: i64,
+        slow_below: i64,
+        leaf: i64,
+    }
+
+    impl PowerSearchFunction for SlowLeft {
+        type Elem = i64;
+
+        fn matches(&self, value: &i64) -> bool {
+            if *value < self.slow_below && value % self.leaf == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            *value == self.needle
+        }
+    }
+
     #[test]
     fn find_any_returns_some_match_and_records_prunes() {
         let _serial = crate::test_serial::exclusive();
-        let p = tabulate(1 << 12, |i| i as i64).unwrap();
-        let exec = ForkJoinExecutor::new(3, 8);
-        // Whether subtrees are still pending when Found trips is
-        // schedule-dependent (one hardware thread can drain in pure DFS
-        // order), so the pruning assertion accepts any of a few runs.
+        let (n, leaf) = (1i64 << 12, 8);
+        let p = tabulate(n as usize, |i| i as i64).unwrap();
+        let exec = ForkJoinExecutor::new(3, leaf as usize);
+        // The root's worker descends the left half, whose 256 leaves
+        // take 1 ms each, while thieves take the fast right half with
+        // its late needle. When Found trips, left-half subtrees are
+        // still queued, so the pruning is certain on every schedule.
+        let f = SlowLeft {
+            needle: n - 3,
+            slow_below: n / 2,
+            leaf,
+        };
+        let (hit, report) =
+            plobs::recorded(|| exec.try_find_any(&f, &p.clone().view(), &ExecConfig::par()));
+        assert_eq!(hit.unwrap(), Some(n - 3));
         // `cancels_found` counts checkpoints that observed the trip; in
-        // an existence search each one prunes its subtree, so it equals
-        // `early_exits` on every schedule (0 and 0 for a last-leaf hit).
-        let mut pruned = false;
-        for _ in 0..20 {
-            let (hit, report) = plobs::recorded(|| {
-                exec.try_find_any(
-                    &Equals((1 << 12) - 3, Decomp::Tie),
-                    &p.clone().view(),
-                    &ExecConfig::par(),
-                )
-            });
-            assert_eq!(hit.unwrap(), Some((1 << 12) - 3));
-            assert_eq!(
-                report.cancels_found, report.early_exits,
-                "every Found observation prunes one subtree: {report:?}"
-            );
-            if report.early_exits >= 1 {
-                pruned = true;
-                break;
-            }
-        }
-        assert!(pruned, "no schedule in 20 runs pruned on a late needle");
+        // an existence search each one prunes its subtree.
+        assert_eq!(
+            report.cancels_found, report.early_exits,
+            "every Found observation prunes one subtree: {report:?}"
+        );
+        assert!(
+            report.early_exits >= 1,
+            "a late needle pruned nothing: {report:?}"
+        );
     }
 
     #[test]

@@ -163,6 +163,28 @@ pub fn default_leaf_size(len: usize, threads: usize) -> usize {
     (len / (4 * threads.max(1))).max(1)
 }
 
+/// The splice route's default leaf size for `source` on `threads`
+/// workers, when no explicit or tuned policy applies.
+///
+/// A source that splits by prefix gets [`default_leaf_size`]. A source
+/// whose `try_split` interleaves (`!prefix_splits()`, a zip view's
+/// parity split) stops at one leaf per worker, `ceil(len / threads)`,
+/// because bytes moved, not balance, set its cost. A parity leaf at
+/// stride `2^d` over 8-byte elements touches every 64-byte line of the
+/// whole span while `2^d ≤ 8`, so each leaf streams the entire input
+/// and a call moves about `leaves × span` bytes: ~4 leaves per worker
+/// would read a 32 MiB input 8 times on 2 workers, for a balance that
+/// equal-sized parity classes do not need. The placement route keeps
+/// [`default_leaf_size`]: its zip→zip cuts are contiguous blocks.
+pub(crate) fn splice_leaf_size<T, S: Spliterator<T>>(source: &S, threads: usize) -> usize {
+    let len = source.estimate_size();
+    if source.prefix_splits() {
+        default_leaf_size(len, threads)
+    } else {
+        len.div_ceil(threads.max(1)).max(1)
+    }
+}
+
 /// The unified fallible driver behind
 /// [`Stream::try_collect`](crate::stream::Stream::try_collect) and every
 /// infallible collect.
@@ -170,7 +192,9 @@ pub fn default_leaf_size(len: usize, threads: usize) -> usize {
 /// Resolution order: `cfg.mode()` picks the route; the parallel route
 /// takes `cfg`'s pool (default: the [global pool](forkjoin::global_pool))
 /// and split policy (default: [`SplitPolicy::Fixed`] at
-/// [`default_leaf_size`]). Fault handling:
+/// [`default_leaf_size`], or at one leaf per worker when the splice
+/// route walks an interleaving source, see `splice_leaf_size`). Fault
+/// handling:
 ///
 /// * a panic in user code is contained at its leaf/combine, trips the
 ///   session's [`CancelToken`](forkjoin::CancelToken) so siblings
@@ -223,7 +247,11 @@ where
                 .and_then(|()| session.run(|| run_leaf(&mut source, &*collector)))
         }
         Some(pool) => {
-            let policy = walk::resolve_policy(cfg, pool, &source, std::any::type_name::<C>());
+            let configured =
+                walk::configured_policy(cfg, pool, &source, std::any::type_name::<C>());
+            let policy = configured.unwrap_or_else(|| {
+                SplitPolicy::Fixed(default_leaf_size(source.estimate_size(), pool.threads()))
+            });
             // Destination-passing route: when the collector and
             // pipeline are eligible, allocate the output once and write
             // leaves straight into disjoint windows. Non-eligible
@@ -231,6 +259,9 @@ where
             match try_placement_par(pool, source, &collector, policy, cfg, &session) {
                 PlacementOutcome::Done(out) => return out,
                 PlacementOutcome::Splice(source) => {
+                    let policy = configured.unwrap_or_else(|| {
+                        SplitPolicy::Fixed(splice_leaf_size(&source, pool.threads()))
+                    });
                     let splice = Splice {
                         collector: Arc::clone(&collector),
                         session: session.clone(),

@@ -265,35 +265,46 @@ pub(crate) fn pool_of(cfg: &ExecConfig) -> &ForkJoinPool {
     }
 }
 
-/// The split policy of a parallel streams run. An explicit
-/// `with_split_policy` / `with_leaf_size` always wins; otherwise a
-/// tuner attached via `auto_tune` resolves a cached (or freshly
-/// calibrated) plan; otherwise [`default_leaf_size`]. `kind` labels the
-/// terminal in the tuner's fingerprint, so searches and collects over
-/// the same source tune apart. The fingerprint's size/`sized` pair comes
-/// from `exact_size()`, so a non-SIZED upper bound is bucketed as
-/// inexact, not mistaken for a real length.
+/// The split policy of a parallel streams run: [`configured_policy`],
+/// else [`SplitPolicy::Fixed`] at [`default_leaf_size`].
 pub(crate) fn resolve_policy<T, S: Spliterator<T>>(
     cfg: &ExecConfig,
     pool: &ForkJoinPool,
     source: &S,
     kind: &str,
 ) -> SplitPolicy {
-    cfg.policy()
-        .or_else(|| {
-            cfg.tuner().and_then(|cache| {
-                let exact = source.exact_size();
-                let fp = pltune::Fingerprint::new(
-                    std::any::type_name::<S>(),
-                    kind,
-                    exact.unwrap_or_else(|| source.estimate_size()),
-                    exact.is_some(),
-                    pool.threads(),
-                );
-                pltune::resolve(cache, pool, &fp)
-            })
+    configured_policy(cfg, pool, source, kind).unwrap_or_else(|| {
+        SplitPolicy::Fixed(default_leaf_size(source.estimate_size(), pool.threads()))
+    })
+}
+
+/// The configured split policy of a parallel streams run, if any. An
+/// explicit `with_split_policy` / `with_leaf_size` always wins;
+/// otherwise a tuner attached via `auto_tune` resolves a cached (or
+/// freshly calibrated) plan; otherwise `None`, and the route picks its
+/// default ([`resolve_policy`], or the splice route's
+/// [`splice_leaf_size`](crate::collect::splice_leaf_size)). `kind`
+/// labels the terminal in the tuner's fingerprint, so searches and
+/// collects over the same source tune apart. The fingerprint's
+/// size/`sized` pair comes from `exact_size()`, so a non-SIZED upper
+/// bound is bucketed as inexact, not mistaken for a real length.
+pub(crate) fn configured_policy<T, S: Spliterator<T>>(
+    cfg: &ExecConfig,
+    pool: &ForkJoinPool,
+    source: &S,
+    kind: &str,
+) -> Option<SplitPolicy> {
+    cfg.policy().or_else(|| {
+        cfg.tuner().and_then(|cache| {
+            let exact = source.exact_size();
+            let fp = pltune::Fingerprint::new(
+                std::any::type_name::<S>(),
+                kind,
+                exact.unwrap_or_else(|| source.estimate_size()),
+                exact.is_some(),
+                pool.threads(),
+            );
+            pltune::resolve(cache, pool, &fp)
         })
-        .unwrap_or_else(|| {
-            SplitPolicy::Fixed(default_leaf_size(source.estimate_size(), pool.threads()))
-        })
+    })
 }

@@ -38,7 +38,7 @@ pub use mss::{mss, mss_kadane, mss_spec, mss_stream, MssCollector, MssFunction, 
 pub use perm::{inv_via, InvFunctionTyped};
 pub use poly::{
     eval_par_stream, eval_par_stream_with, eval_seq_stream, eval_tupled_stream, horner,
-    poly_spliterator, PolynomialCollector, TupledVp, TupledVpCollector, VpFunction,
+    poly_spliterator, power_sum, PolynomialCollector, TupledVp, TupledVpCollector, VpFunction,
 };
 pub use polymul::{convolve, poly_mul_fft, poly_mul_naive};
 pub use scan::{scan_exclusive, scan_par, scan_seq, scan_spec};

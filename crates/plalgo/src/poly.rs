@@ -51,6 +51,118 @@ pub fn horner(coeffs: &[f64], x: f64) -> f64 {
     acc
 }
 
+/// Independent power chains in [`power_sum`]: enough to hide the
+/// multiply/add latency of one chain on an in-cache run, and a whole
+/// number of vectors on the contiguous path.
+const LANES: usize = 16;
+
+/// The leaf kernel of every polynomial route: `(Σ cₖ yᵏ, yᵐ)` over the
+/// `m` elements `items[0], items[step], items[2·step], …`, the strided
+/// run contract of [`jstreams::LeafAccess::try_as_strided`]
+/// (`items.len() == (m−1)·step + 1`, or `items` empty).
+///
+/// A running-power loop (`acc += c·pw; pw *= y`) is one dependency
+/// chain, so it runs at the multiply-add latency however fast memory
+/// is. This kernel keeps `LANES` (16) chains instead: lane `j` starts at
+/// `yʲ` and advances by `y^LANES`, over consecutive groups of `LANES`
+/// elements. Steps 1 and 2 (a contiguous run, and a parity leaf of a
+/// one-leaf-per-worker split on 2 workers) walk fixed-size groups that
+/// vectorise across lanes; any other step walks
+/// `chunks_exact(LANES·step)` with no per-element bounds check. The
+/// tail continues lane 0's chain in encounter order, so `yᵐ` comes out
+/// of the same chain.
+///
+/// # Panics
+///
+/// Panics if `step == 0`.
+pub fn power_sum(items: &[f64], step: usize, y: f64) -> (f64, f64) {
+    assert!(step > 0, "power_sum step must be at least 1");
+    let (lanes, tail) = match step {
+        1 => Lanes::fixed_groups::<LANES>(items, y),
+        2 => Lanes::fixed_groups::<{ 2 * LANES }>(items, y),
+        _ => Lanes::strided_groups(items, step, y),
+    };
+    let mut pw = lanes.pw[0];
+    let mut rest = 0.0;
+    for &c in tail.iter().step_by(step) {
+        rest += c * pw;
+        pw *= y;
+    }
+    (lanes.acc.iter().sum::<f64>() + rest, pw)
+}
+
+/// The [`LANES`] independent chains of [`power_sum`]. Each group walk
+/// is its own out-of-line function, so its chains stay in registers
+/// for the whole loop.
+struct Lanes {
+    acc: [f64; LANES],
+    pw: [f64; LANES],
+    /// `y^LANES`, one group's advance.
+    y_lanes: f64,
+}
+
+impl Lanes {
+    /// Empty chains; chain `j` starts at `yʲ`.
+    #[inline(always)]
+    fn new(y: f64) -> Self {
+        let mut lanes = Lanes {
+            acc: [0.0; LANES],
+            pw: [0.0; LANES],
+            y_lanes: 1.0,
+        };
+        for pw in &mut lanes.pw {
+            *pw = lanes.y_lanes;
+            lanes.y_lanes *= y;
+        }
+        lanes
+    }
+
+    /// Adds one group: its `j`-th item to chain `j`.
+    #[inline(always)]
+    fn add<'a>(&mut self, group: impl Iterator<Item = &'a f64>) {
+        for ((acc, pw), &c) in self.acc.iter_mut().zip(&mut self.pw).zip(group) {
+            *acc += c * *pw;
+            *pw *= self.y_lanes;
+        }
+    }
+
+    /// The chains over every whole group of a run whose step,
+    /// `SPAN / LANES`, is a compile-time constant, and the items after
+    /// the last group.
+    #[inline(never)]
+    fn fixed_groups<const SPAN: usize>(items: &[f64], y: f64) -> (Self, &[f64]) {
+        let mut lanes = Self::new(y);
+        let (groups, tail) = items.as_chunks::<SPAN>();
+        for group in groups {
+            lanes.add((0..LANES).map(|j| &group[j * (SPAN / LANES)]));
+        }
+        (lanes, tail)
+    }
+
+    /// [`Lanes::fixed_groups`] for a runtime `step`. A group spans
+    /// `LANES·step` items and a run's last element sits at `(m−1)·step`,
+    /// so a group that would end past the run is never whole: it is
+    /// left in the remainder.
+    #[inline(never)]
+    fn strided_groups(items: &[f64], step: usize, y: f64) -> (Self, &[f64]) {
+        let mut lanes = Self::new(y);
+        let mut groups = items.chunks_exact(LANES * step);
+        for group in &mut groups {
+            lanes.add(group.iter().step_by(step));
+        }
+        (lanes, groups.remainder())
+    }
+}
+
+/// [`power_sum`] over a view's logical elements.
+fn view_power_sum(view: &powerlist::PowerView<f64>, y: f64) -> (f64, f64) {
+    let storage = view.storage();
+    let step = view.incr().max(1);
+    let first = view.start();
+    let last = first + (view.len() - 1) * step;
+    power_sum(&storage.as_slice()[first..=last], step, y)
+}
+
 /// The paper's sequential baseline: polynomial evaluation as "a simple
 /// stream based computation" — a sequential stream of (coefficient,
 /// running power) folds.
@@ -115,13 +227,7 @@ impl PowerFunction for VpFunction {
     /// (paper §V) — the sub-list at a node with point `x` is, by Eq. 4,
     /// a polynomial to be evaluated at that `x`.
     fn leaf_case(&self, view: &powerlist::PowerView<f64>) -> f64 {
-        let mut acc = 0.0;
-        let mut pw = 1.0;
-        for a in view.iter() {
-            acc += a * pw;
-            pw *= self.x;
-        }
-        acc
+        view_power_sum(view, self.x).0
     }
 }
 
@@ -179,8 +285,10 @@ impl Collector<f64> for PolynomialCollector {
 
     /// "The supplier provides a new instance … created as a copy of the
     /// initial PolynomialValue instance": each leaf container snapshots
-    /// the shared degree, which — depths being uniform — equals this
-    /// leaf's stride.
+    /// the shared degree, which equals this leaf's stride only when
+    /// depths are uniform (a [`SplitPolicy::Fixed`](jstreams::SplitPolicy)
+    /// tree). Borrowed leaves ([`Collector::leaf_strided`]) do not use
+    /// it.
     fn supplier(&self) -> PolyAcc {
         let stride = self.degree.get();
         PolyAcc {
@@ -201,10 +309,18 @@ impl Collector<f64> for PolynomialCollector {
 
     /// Ascending phase: `left + x^{s}·right` with `s` the children's
     /// stride halved (the paper's `x_degree /= 2` step).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the siblings' strides differ. Borrowed leaves take
+    /// their stride from their own run, so this only happens on the
+    /// per-element route (a mapped pipeline) over an uneven tree, whose
+    /// supplier can only read the shared maximum degree; the panic
+    /// surfaces as an `ExecError` instead of a wrong value.
     fn combine(&self, left: PolyAcc, right: PolyAcc) -> PolyAcc {
-        debug_assert_eq!(
+        assert_eq!(
             left.stride, right.stride,
-            "uniform decomposition depth guarantees sibling strides match"
+            "sibling partials at different strides: an uneven tree on the per-element route"
         );
         let s = left.stride / 2;
         PolyAcc {
@@ -215,7 +331,12 @@ impl Collector<f64> for PolynomialCollector {
         }
     }
 
+    /// # Panics
+    ///
+    /// Panics unless the root partial is at stride 1, the other sign of
+    /// leaves that evaluated at a shared degree deeper than their own.
     fn finish(&self, acc: PolyAcc) -> f64 {
+        assert_eq!(acc.stride, 1, "root partial at stride {}", acc.stride);
         acc.val
     }
 
@@ -226,13 +347,20 @@ impl Collector<f64> for PolynomialCollector {
         self.leaf_strided(items, 1)
     }
 
+    /// The leaf's stride is its run's own `step`, not the shared
+    /// degree: an uneven tree (an adaptive or tuned policy) has leaves
+    /// at different depths, and only the deepest reaches the shared
+    /// maximum. The hooked spliterator is rooted at a contiguous list
+    /// ([`poly_spliterator`]), so a leaf at depth `d` has `step == 2^d`.
     fn leaf_strided(&self, items: &[f64], step: usize) -> Option<PolyAcc> {
-        let mut acc = self.supplier();
-        for &c in items.iter().step_by(step) {
-            acc.val += c * acc.pw;
-            acc.pw *= acc.y;
-        }
-        Some(acc)
+        let y = self.x.powi(step as i32);
+        let (val, pw) = power_sum(items, step, y);
+        Some(PolyAcc {
+            val,
+            pw,
+            y,
+            stride: step as u64,
+        })
     }
 }
 
@@ -311,13 +439,7 @@ impl PowerFunction for TupledVp {
 
     /// Leaf kernel: evaluate the block and its total power in one pass.
     fn leaf_case(&self, view: &powerlist::PowerView<f64>) -> (f64, f64) {
-        let mut acc = 0.0;
-        let mut pw = 1.0;
-        for a in view.iter() {
-            acc += a * pw;
-            pw *= self.x;
-        }
-        (acc, pw)
+        view_power_sum(view, self.x)
     }
 }
 
@@ -362,13 +484,7 @@ impl Collector<f64> for TupledVpCollector {
     }
 
     fn leaf_strided(&self, items: &[f64], step: usize) -> Option<(f64, f64)> {
-        let mut v = 0.0;
-        let mut pw = 1.0;
-        for &c in items.iter().step_by(step) {
-            v += c * pw;
-            pw *= self.x;
-        }
-        Some((v, pw))
+        Some(power_sum(items, step, self.x))
     }
 }
 
@@ -567,6 +683,79 @@ mod tests {
             let (a0, a1) = t.leaf_case(view);
             let (b0, b1) = jplf::compute_sequential(&t, view);
             assert!(rel_close(a0, b0) && rel_close(a1, b1));
+        }
+    }
+
+    /// The single-chain loop [`power_sum`] replaces, plus the rounding
+    /// scale `Σ|cᵢyⁱ|` any summation order is judged against.
+    fn single_chain(items: &[f64], step: usize, y: f64) -> (f64, f64, f64) {
+        let (mut val, mut pw, mut scale) = (0.0, 1.0, 0.0);
+        for &c in items.iter().step_by(step) {
+            val += c * pw;
+            scale += (c * pw).abs();
+            pw *= y;
+        }
+        (val, pw, scale)
+    }
+
+    #[test]
+    fn power_sum_matches_single_chain() {
+        let data: Vec<f64> = (0..70 * 16)
+            .map(|i| ((i * 37 + 11) % 19) as f64 - 9.0)
+            .collect();
+        for y in [-1.5, -0.999, 0.0, 0.9999993, 1.0001] {
+            for step in 1..=16 {
+                // Every tail length mod LANES, and runs whose last
+                // element closes a group (m a multiple of LANES).
+                for m in 0..=70 {
+                    let len = if m == 0 { 0 } else { (m - 1) * step + 1 };
+                    let items = &data[..len];
+                    let (val, pw) = power_sum(items, step, y);
+                    let (want, want_pw, scale) = single_chain(items, step, y);
+                    assert!(
+                        (val - want).abs() <= 1e-12 * scale,
+                        "y={y} step={step} m={m}: {val} vs {want}"
+                    );
+                    assert!(
+                        (pw - want_pw).abs() <= 1e-12 * want_pw.abs(),
+                        "y={y} step={step} m={m}: y^m {pw} vs {want_pw}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Adaptive trees have leaves at different depths; each leaf must
+    /// evaluate at its own stride, not the shared maximum degree.
+    #[test]
+    fn par_stream_matches_horner_on_uneven_trees() {
+        let pool = Arc::new(forkjoin::ForkJoinPool::new(2));
+        let cfg = jstreams::ExecConfig::par()
+            .with_pool(pool)
+            .with_split_policy(jstreams::SplitPolicy::adaptive());
+        let p = coeffs(1 << 14);
+        let x = 0.9993;
+        let expected = horner(p.as_slice(), x);
+        for run in 0..50 {
+            let collector = PolynomialCollector::new(x);
+            let got = stream_support(poly_spliterator(p.clone(), &collector), true)
+                .try_collect(collector, &cfg)
+                .unwrap();
+            assert!(rel_close(got, expected), "run {run}: {got} vs {expected}");
+            // A mapped pipeline takes the per-element route, whose
+            // supplier cannot see its leaf's depth: an uneven tree must
+            // surface as an error, never as a wrong value.
+            let collector = PolynomialCollector::new(x);
+            match stream_support(poly_spliterator(p.clone(), &collector), true)
+                .map(|c| c)
+                .try_collect(collector, &cfg)
+            {
+                Ok(got) => assert!(rel_close(got, expected), "run {run}: {got}"),
+                Err(e) => assert!(
+                    e.panic_message().is_some_and(|m| m.contains("stride")),
+                    "run {run}: {e:?}"
+                ),
+            }
         }
     }
 

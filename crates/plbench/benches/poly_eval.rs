@@ -75,5 +75,25 @@ fn bench_poly(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_poly);
+/// Ablation A's strided traffic: the `power_sum` leaf kernel over one
+/// 2^22-`f64` span (32 MiB) at steps 1..8. Every step up to 8 touches
+/// every 64-byte line of the span, so the time tracks the span read,
+/// not the element count.
+fn bench_power_sum_stride(c: &mut Criterion) {
+    let mut group = c.benchmark_group("power_sum_stride");
+    group.sample_size(10);
+    group.warm_up_time(std::time::Duration::from_secs(1));
+    group.measurement_time(std::time::Duration::from_secs(2));
+    let n = 1usize << 22;
+    let coeffs = random_coeffs(n, 1);
+    for step in [1usize, 2, 4, 8] {
+        let run = &coeffs.as_slice()[..(n / step - 1) * step + 1];
+        group.bench_with_input(BenchmarkId::new("step", step), &step, |b, &step| {
+            b.iter(|| plalgo::power_sum(black_box(run), step, EVAL_POINT))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_poly, bench_power_sum_stride);
 criterion_main!(benches);

@@ -76,8 +76,17 @@ fn measure(n: usize, runs: usize) -> (f64, f64) {
     let coeffs = random_coeffs(n, 0xC0FFEE);
     let pool = Arc::new(forkjoin::ForkJoinPool::with_default_parallelism());
     let (_, seq) = time_avg(runs, || plalgo::eval_seq_stream(coeffs.clone(), EVAL_POINT));
+    // The JVM's tree (~4 leaves per worker), not the splice route's
+    // one-parity-leaf-per-worker default: Figure 3 reproduces the paper's
+    // task tree.
+    let leaf = jstreams::default_leaf_size(n, pool.threads());
     let (_, par) = time_avg(runs, || {
-        plalgo::eval_par_stream_with(coeffs.clone(), EVAL_POINT, Some(Arc::clone(&pool)), None)
+        plalgo::eval_par_stream_with(
+            coeffs.clone(),
+            EVAL_POINT,
+            Some(Arc::clone(&pool)),
+            Some(leaf),
+        )
     });
     (ms(seq), ms(par))
 }

@@ -1755,3 +1755,94 @@ fn walker_terminals_meet_one_failure_contract() {
         assert_eq!(report.splits, 0, "{name}: the fallback route must not fork");
     }
 }
+
+// ---------------------------------------------------------------------
+// Default granularity per route: a splice walk over an interleaving
+// source stops at one leaf per worker; placement and search keep
+// `default_leaf_size`'s ~4 leaves per worker.
+// ---------------------------------------------------------------------
+
+/// The paper's polynomial collector over a hooked zip view evaluates at
+/// each leaf's own stride, so any tree shape agrees with Horner: the
+/// adaptive policy's uneven trees included, on 1–3 workers.
+#[test]
+fn poly_collect_on_adaptive_trees_matches_horner() {
+    let _shared = shared();
+    for threads in 1..=3 {
+        let cfg = ExecConfig::par()
+            .with_pool(Arc::new(forkjoin::ForkJoinPool::new(threads)))
+            .with_split_policy(SplitPolicy::adaptive());
+        for k in 4..=16 {
+            let coeffs =
+                powerlist::tabulate(1 << k, |i| ((i * 37 + 11) % 19) as f64 - 9.0).unwrap();
+            let x = 0.9993;
+            let spec = plalgo::horner(coeffs.as_slice(), x);
+            for run in 0..4 {
+                let collector = plalgo::PolynomialCollector::new(x);
+                let got =
+                    stream_support(plalgo::poly_spliterator(coeffs.clone(), &collector), true)
+                        .try_collect(collector, &cfg)
+                        .unwrap();
+                assert!(
+                    rel_close(got, spec),
+                    "threads={threads} k={k} run={run}: {got} vs {spec}"
+                );
+            }
+        }
+    }
+}
+
+/// Leaf counts under the default config on a 2-worker pool: the
+/// polynomial's splice walk over a hooked zip view makes one parity
+/// leaf per worker; a zip→zip placement collect (contiguous block
+/// cuts) and a zip-view search keep ~4 leaves per worker.
+#[test]
+fn default_granularity_per_route() {
+    let _exclusive = exclusive();
+    let n = 1usize << 14;
+    let cfg = ExecConfig::par().with_pool(Arc::new(forkjoin::ForkJoinPool::new(2)));
+
+    let coeffs = powerlist::tabulate(n, |i| ((i * 37 + 11) % 19) as f64 - 9.0).unwrap();
+    let (got, poly) = plobs::recorded(|| {
+        let collector = plalgo::PolynomialCollector::new(0.9993);
+        stream_support(plalgo::poly_spliterator(coeffs.clone(), &collector), true)
+            .try_collect(collector, &cfg)
+    });
+    assert!(rel_close(
+        got.unwrap(),
+        plalgo::horner(coeffs.as_slice(), 0.9993)
+    ));
+    assert_eq!(poly.routes.total_leaves(), 2, "poly: {poly:?}");
+
+    let list = powerlist::tabulate(n, |i| i as i64).unwrap();
+    let view = list.view();
+    let (out, place) = plobs::recorded(|| {
+        stream_support(ZipSpliterator::from_view(&view), true)
+            .map(|x| 3 * x + 1)
+            .try_collect(PowerListCollector::new(Decomposition::Zip), &cfg)
+    });
+    assert_eq!(
+        out.unwrap().into_vec(),
+        (0..n as i64).map(|x| 3 * x + 1).collect::<Vec<_>>()
+    );
+    assert_eq!(place.routes.placement.leaves, 8, "placement: {place:?}");
+    assert_eq!(place.routes.total_leaves(), 8, "placement: {place:?}");
+
+    let (hit, search) = plobs::recorded(|| {
+        stream_support(ZipSpliterator::from_view(&view), true)
+            .filter(|x| *x < 0)
+            .try_find_first(&cfg)
+    });
+    assert_eq!(hit.unwrap(), None);
+    // A filtering chain claims no encounter ranks, so an ordered search
+    // over parity splits cannot re-sort its hits: one sequential leaf.
+    assert_eq!(search.routes.total_leaves(), 1, "find_first: {search:?}");
+
+    let (hit, search) = plobs::recorded(|| {
+        stream_support(ZipSpliterator::from_view(&view), true).try_any_match(|x| *x < 0, &cfg)
+    });
+    assert!(!hit.unwrap());
+    // The inline root probe, then 8 walked leaves over the remainder.
+    assert_eq!(search.splits, 7, "any_match: {search:?}");
+    assert_eq!(search.routes.total_leaves(), 1 + 8, "any_match: {search:?}");
+}
