@@ -117,11 +117,15 @@ grep -q "wrote target/ci-placement/BENCH_placement_tovec.json" "$PLACEMENT_LOG"
 grep -q "wrote target/ci-placement/BENCH_placement_powerlist.json" "$PLACEMENT_LOG"
 
 echo "==> structural: one split-tree walker"
-# The stop rule's pool probe and pool submission live in exactly one
-# place in the streams and JPLF drivers: jstreams/src/walk.rs.
-if grep -rnE 'demand_split\(|try_install\(' crates/jstreams/src crates/jplf/src \
+# The stop rule's pool probe, pool submission and the fork-join `join`
+# live in exactly one place in the streams and JPLF drivers:
+# jstreams/src/walk.rs. A bare `join(` call (`join(..)`,
+# `forkjoin::join(..)`) anywhere else is a hand-copied recursion; method
+# calls such as a thread handle's `.join()` do not count.
+if grep -rnE 'demand_split\(|try_install\(|(^|[^.[:alnum:]_])join\(' \
+    crates/jstreams/src crates/jplf/src \
     | grep -v '^crates/jstreams/src/walk\.rs:'; then
-    echo "demand_split( / try_install( outside crates/jstreams/src/walk.rs" >&2
+    echo "demand_split( / try_install( / join( outside crates/jstreams/src/walk.rs" >&2
     exit 1
 fi
 

@@ -56,9 +56,7 @@ pub use function::{
     compute_on_list, compute_sequential, try_compute_sequential, Decomp, PowerFunction,
     TransformedHalves,
 };
-pub use plist_function::{
-    compute_plist_parallel, compute_plist_sequential, NWayReduce, PListFunction,
-};
+pub use plist_function::{compute_plist_sequential, NWayReduce, PListFunction};
 pub use search::{Not, PowerSearchFunction, SearchExecutor};
 pub use trace::{compute_traced, compute_with_sink, PhaseTrace};
 

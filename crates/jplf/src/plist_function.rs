@@ -6,11 +6,22 @@
 //! to recursions that split into *n* sub-problems per level, where *n*
 //! may differ from level to level (chosen by [`PListFunction::arity`]
 //! from the current length).
+//!
+//! [`compute_plist_sequential`] is the reference semantics.
+//! [`ForkJoinExecutor::try_execute_plist`] is the parallel executor: an
+//! n-ary terminal on the split-tree walker ([`jstreams::walk`]), so it
+//! shares the session contract of the binary executors (cancel,
+//! deadline, panic containment, pool fallback and plobs events).
 
+use crate::executor::{ExecConfig, ExecError, ForkJoinExecutor};
 use crate::function::Decomp;
-use forkjoin::{join, ForkJoinPool};
+use jstreams::walk::{self, NaryTerminal};
+use jstreams::ExecSession;
+use plobs::{Event, LeafRoute};
 use powerlist::PList;
+use std::marker::PhantomData;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A shareable associative binary operator over `T`.
 pub type BinOp<T> = Arc<dyn Fn(&T, &T) -> T + Send + Sync>;
@@ -61,82 +72,132 @@ pub fn compute_plist_sequential<F: PListFunction>(f: &F, input: &PList<F::Elem>)
     if input.is_singleton() {
         return f.basic_case(&input[0]);
     }
+    match children(f, input) {
+        Some(children) => {
+            let outs = children
+                .into_iter()
+                .map(|(child, part)| compute_plist_sequential(&child, &part))
+                .collect();
+            f.combine_n(outs)
+        }
+        None => f.leaf_case(input),
+    }
+}
+
+/// The descending phase of one level: the `arity(len)`-way split of
+/// `input`, each part paired with its child function instance. `None`
+/// when the arity is below 2 or does not divide the length (a singleton
+/// included).
+#[allow(clippy::type_complexity)]
+fn children<F: PListFunction>(f: &F, input: &PList<F::Elem>) -> Option<Vec<(F, PList<F::Elem>)>> {
     let k = f.arity(input.len());
     if k < 2 || input.len() % k != 0 {
-        return f.leaf_case(input);
+        return None;
     }
     let parts = match f.decomposition() {
         Decomp::Tie => input.clone().untie_n(k),
         Decomp::Zip => input.clone().unzip_n(k),
     }
     .expect("divisibility checked above");
-    let outs = parts
-        .into_iter()
-        .enumerate()
-        .map(|(i, part)| compute_plist_sequential(&f.create_child(i, k), &part))
-        .collect();
-    f.combine_n(outs)
+    Some(
+        parts
+            .into_iter()
+            .enumerate()
+            .map(|(i, part)| (f.create_child(i, k), part))
+            .collect(),
+    )
 }
 
-/// Fork-join parallel execution of a PList function: each level's `k`
-/// sub-problems fan out on the pool (binary join tree over the part
-/// list), with sequential computation below `leaf_size`.
-pub fn compute_plist_parallel<F>(
-    pool: &ForkJoinPool,
-    f: &F,
-    input: &PList<F::Elem>,
-    leaf_size: usize,
-) -> F::Out
-where
-    F: PListFunction + Clone + Sync,
-{
-    let f = f.clone();
-    let input = input.clone();
-    let leaf = leaf_size.max(1);
-    pool.install(move || par_rec(f, input, leaf))
+impl ForkJoinExecutor {
+    /// Fallibly runs the PList function `f` on `input`, fork-join
+    /// parallel: each level's `arity`-way split fans out on the
+    /// executor's pool, and below the executor's split policy the leaf
+    /// runs [`compute_plist_sequential`]. The tuner is not consulted.
+    ///
+    /// It runs on the split-tree walker ([`walk::submit_n`]) under the
+    /// session limits of `cfg`, with the contract of
+    /// [`Executor::try_execute`](crate::Executor::try_execute): panics
+    /// in the function's primitives surface as [`ExecError::Panicked`],
+    /// cancel tokens and deadlines are honoured at every node, and a
+    /// shut-down or saturated pool runs the whole list as one contained
+    /// leaf with a recorded `Event::Fallback`.
+    pub fn try_execute_plist<F>(
+        &self,
+        f: &F,
+        input: &PList<F::Elem>,
+        cfg: &ExecConfig,
+    ) -> Result<F::Out, ExecError>
+    where
+        F: PListFunction + Clone,
+    {
+        let session = ExecSession::new(cfg);
+        let compute = PListCompute {
+            session: session.clone(),
+            _function: PhantomData,
+        };
+        let root = (f.clone(), input.clone());
+        let out = match walk::fallback_reason(self.pool(), cfg) {
+            Some(reason) => {
+                plobs::emit(Event::Fallback { reason });
+                session
+                    .check()
+                    .and_then(|()| session.run(|| compute.leaf(root)))
+            }
+            None => walk::submit_n(self.pool(), compute, root, self.policy()),
+        };
+        out.map_err(|i| session.error_of(i))
+    }
 }
 
-fn par_rec<F>(f: F, input: PList<F::Elem>, leaf: usize) -> F::Out
-where
-    F: PListFunction + Clone + Sync,
-{
-    if input.len() <= leaf || input.is_singleton() {
-        return compute_plist_sequential(&f, &input);
-    }
-    let k = f.arity(input.len());
-    if k < 2 || input.len() % k != 0 {
-        return f.leaf_case(&input);
-    }
-    let parts = match f.decomposition() {
-        Decomp::Tie => input.untie_n(k),
-        Decomp::Zip => input.unzip_n(k),
-    }
-    .expect("divisibility checked above");
-    let tasks: Vec<(F, PList<F::Elem>)> = parts
-        .into_iter()
-        .enumerate()
-        .map(|(i, part)| (f.create_child(i, k), part))
-        .collect();
-    let outs = par_map(tasks, leaf);
-    f.combine_n(outs)
+/// The fork-join subtree protocol of a [`PListFunction`]: a node is a
+/// function instance plus its list, a split is one level's descending
+/// phase, and the parent instance's `combine_n` merges the children.
+struct PListCompute<F> {
+    session: ExecSession,
+    _function: PhantomData<fn(F)>,
 }
 
-fn par_map<F>(mut tasks: Vec<(F, PList<F::Elem>)>, leaf: usize) -> Vec<F::Out>
-where
-    F: PListFunction + Clone + Sync,
-{
-    match tasks.len() {
-        0 => Vec::new(),
-        1 => {
-            let (f, p) = tasks.pop().expect("len 1");
-            vec![par_rec(f, p, leaf)]
+impl<F: PListFunction> NaryTerminal for PListCompute<F> {
+    type Node = (F, PList<F::Elem>);
+    type Out = F::Out;
+    /// The parent instance, whose `combine_n` merges the parts.
+    type Cut = F;
+    type Session = ExecSession;
+
+    fn session(&self) -> &ExecSession {
+        &self.session
+    }
+
+    fn exact_size(&self, (_, input): &(F, PList<F::Elem>)) -> Option<usize> {
+        Some(input.len())
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn split_n(
+        &self,
+        (f, input): (F, PList<F::Elem>),
+    ) -> Result<(Vec<(F, PList<F::Elem>)>, F), (F, PList<F::Elem>)> {
+        match children(&f, &input) {
+            Some(children) => Ok((children, f)),
+            None => Err((f, input)),
         }
-        _ => {
-            let right = tasks.split_off(tasks.len() / 2);
-            let (mut l, mut r) = join(move || par_map(tasks, leaf), move || par_map(right, leaf));
-            l.append(&mut r);
-            l
+    }
+
+    fn leaf(&self, (f, input): (F, PList<F::Elem>)) -> F::Out {
+        let start = plobs::enabled().then(Instant::now);
+        let out = compute_plist_sequential(&f, &input);
+        if let Some(start) = start {
+            plobs::emit(Event::Leaf {
+                route: LeafRoute::Template,
+                items: input.len() as u64,
+                ns: start.elapsed().as_nanos() as u64,
+            });
         }
+        out
+    }
+
+    fn combine_n(&self, f: F, parts: Vec<F::Out>) -> F::Out {
+        f.combine_n(parts)
     }
 }
 
@@ -234,13 +295,13 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let _serial = crate::test_serial::shared();
-        let pool = ForkJoinPool::new(3);
+        let exec = ForkJoinExecutor::new(3, 8);
         let f = NWayReduce::new(4, |a: &i64, b: &i64| a + b);
         for n in [1usize, 4, 16, 64, 256, 20, 100] {
             let p = plist(n);
             let seq = compute_plist_sequential(&f, &p);
-            let par = compute_plist_parallel(&pool, &f, &p, 8);
-            assert_eq!(seq, par, "n={n}");
+            let par = exec.try_execute_plist(&f, &p, &ExecConfig::par());
+            assert_eq!(par.ok(), Some(seq), "n={n}");
         }
     }
 
@@ -250,8 +311,9 @@ mod tests {
         let f = NWayReduce::new(3, |a: &String, b: &String| format!("{a}{b}"));
         let p = PList::from_vec((0..9).map(|i| i.to_string()).collect()).unwrap();
         assert_eq!(compute_plist_sequential(&f, &p), "012345678");
-        let pool = ForkJoinPool::new(2);
-        assert_eq!(compute_plist_parallel(&pool, &f, &p, 1), "012345678");
+        let exec = ForkJoinExecutor::new(2, 1);
+        let par = exec.try_execute_plist(&f, &p, &ExecConfig::par());
+        assert_eq!(par.ok().as_deref(), Some("012345678"));
     }
 
     #[test]

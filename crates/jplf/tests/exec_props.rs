@@ -3,8 +3,8 @@
 //! sequential template's answer.
 
 use jplf::{
-    compute_plist_parallel, compute_plist_sequential, Decomp, Executor, ForkJoinExecutor,
-    MpiExecutor, NWayReduce, PowerFunction, SequentialExecutor,
+    compute_plist_sequential, Decomp, ExecConfig, Executor, ForkJoinExecutor, MpiExecutor,
+    NWayReduce, PowerFunction, SequentialExecutor,
 };
 use powerlist::{PList, PowerList};
 use proptest::prelude::*;
@@ -77,9 +77,9 @@ proptest! {
         let p = PList::from_vec(v).unwrap();
         let f = NWayReduce::new(arity, |a: &i64, b: &i64| a + b);
         let seq = compute_plist_sequential(&f, &p);
-        let pool = forkjoin::ForkJoinPool::new(threads);
-        let par = compute_plist_parallel(&pool, &f, &p, leaf);
-        prop_assert_eq!(seq, par);
+        let exec = ForkJoinExecutor::new(threads, leaf);
+        let par = exec.try_execute_plist(&f, &p, &ExecConfig::par()).ok();
+        prop_assert_eq!(Some(seq), par);
         // And both equal the plain sum.
         prop_assert_eq!(seq, p.iter().sum::<i64>());
     }

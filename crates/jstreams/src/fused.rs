@@ -6,7 +6,7 @@
 //! or `filter` adapter, `run_leaf` falls back to the per-element cloning
 //! drain. This module restores zero-copy traversal for adapted
 //! pipelines by changing what an intermediate operation builds: instead
-//! of nesting a [`MapSpliterator`] around
+//! of nesting a map adapter spliterator around
 //! the source, [`Stream::map`](crate::Stream::map) (and `filter`/`peek`)
 //! extend a composable **fused chain** of [`FusedStage`]s carried by a
 //! [`FusedSpliterator`] *next to* the untouched source.
@@ -30,7 +30,6 @@
 
 use crate::characteristics::Characteristics;
 use crate::collector::Collector;
-use crate::ops::{FilterSpliterator, MapSpliterator};
 use crate::power::PowerSpliterator;
 use crate::spliterator::{ItemSource, LeafAccess, SliceSpliterator, Spliterator};
 use crate::tie::TieSpliterator;
@@ -288,7 +287,7 @@ where
 {
     fn try_advance(&mut self, action: &mut dyn FnMut(U)) -> bool {
         // Keep advancing the source until one element survives the
-        // chain or the source ends (same shape as FilterSpliterator).
+        // chain or the source ends.
         let chain = &self.chain;
         loop {
             let mut emitted = false;
@@ -587,39 +586,6 @@ where
     }
 }
 
-// The legacy adapters stay usable as stream sources (they are the A/B
-// baseline for the fused bench), opening a fresh identity chain.
-impl<T, U, S, F> FusePipe<U> for MapSpliterator<T, S, F>
-where
-    T: Send + 'static,
-    U: Clone + Send + 'static,
-    S: Spliterator<T> + 'static,
-    F: Fn(T) -> U + Send + Sync + 'static,
-{
-    type Base = U;
-    type Src = Self;
-    type Chain = IdentityStage;
-
-    fn decompose(self) -> (Self, IdentityStage) {
-        (self, IdentityStage)
-    }
-}
-
-impl<T, S, P> FusePipe<T> for FilterSpliterator<S, P>
-where
-    T: Clone + Send + 'static,
-    S: Spliterator<T> + 'static,
-    P: Fn(&T) -> bool + Send + Sync + 'static,
-{
-    type Base = T;
-    type Src = Self;
-    type Chain = IdentityStage;
-
-    fn decompose(self) -> (Self, IdentityStage) {
-        (self, IdentityStage)
-    }
-}
-
 // The chain-extending case: a fused pipeline decomposes into its own
 // parts, so the next `map`/`filter` call composes one longer chain over
 // the same untouched source.
@@ -724,11 +690,12 @@ mod tests {
 
     #[test]
     fn fused_leaf_refuses_without_borrowed_access() {
-        // Filter adapters hide LeafAccess, so a chain over one cannot
-        // borrow and must answer None (-> cloning drain).
-        let inner = FilterSpliterator::new(
+        // A filtering fused chain has no borrowed run of its own, so a
+        // chain over one cannot borrow and must answer None (-> cloning
+        // drain).
+        let inner = FusedSpliterator::new(
             SliceSpliterator::new((0..8i64).collect()),
-            Arc::new(|x: &i64| x % 2 == 0),
+            FilterStage::new(IdentityStage, |x: &i64| x % 2 == 0),
         );
         let mut s = FusedSpliterator::new(inner, MapStage::new(IdentityStage, |x| x + 1));
         assert!(s.fused_leaf(&VecCollector).is_none());
@@ -750,7 +717,7 @@ mod tests {
     // -----------------------------------------------------------------
 
     /// A slice-backed source that additionally advertises
-    /// `SORTED|DISTINCT`, to observe the adapters dropping them.
+    /// `SORTED|DISTINCT`, to observe the stages dropping them.
     struct SortedSource(SliceSpliterator<i64>);
 
     impl ItemSource<i64> for SortedSource {
@@ -795,33 +762,27 @@ mod tests {
                 | Characteristics::SUBSIZED
         ));
 
-        // map: drops SORTED|DISTINCT, keeps SIZED|SUBSIZED|POWER2 —
-        // adapter and fused chain must agree.
-        let adapter = MapSpliterator::new(sorted_source(), Arc::new(|x: i64| -x));
-        let fused =
-            FusedSpliterator::new(sorted_source(), MapStage::new(IdentityStage, |x: i64| -x));
-        for c in [adapter.characteristics(), fused.characteristics()] {
-            assert!(!c.contains(Characteristics::SORTED), "{c:?}");
-            assert!(!c.contains(Characteristics::DISTINCT), "{c:?}");
-            assert!(c.contains(
-                Characteristics::SIZED | Characteristics::SUBSIZED | Characteristics::POWER2
-            ));
-            assert!(c.contains(STRUCTURAL));
-        }
+        // map: drops SORTED|DISTINCT, keeps SIZED|SUBSIZED|POWER2.
+        let c = FusedSpliterator::new(sorted_source(), MapStage::new(IdentityStage, |x: i64| -x))
+            .characteristics();
+        assert!(!c.contains(Characteristics::SORTED), "{c:?}");
+        assert!(!c.contains(Characteristics::DISTINCT), "{c:?}");
+        assert!(c.contains(
+            Characteristics::SIZED | Characteristics::SUBSIZED | Characteristics::POWER2
+        ));
+        assert!(c.contains(STRUCTURAL));
 
         // filter: drops SIZED|SUBSIZED|POWER2, keeps the rest.
-        let adapter = FilterSpliterator::new(sorted_source(), Arc::new(|_: &i64| true));
-        let fused = FusedSpliterator::new(
+        let c = FusedSpliterator::new(
             sorted_source(),
             FilterStage::new(IdentityStage, |_: &i64| true),
-        );
-        for c in [adapter.characteristics(), fused.characteristics()] {
-            assert!(!c.contains(Characteristics::SIZED), "{c:?}");
-            assert!(!c.contains(Characteristics::SUBSIZED), "{c:?}");
-            assert!(!c.contains(Characteristics::POWER2), "{c:?}");
-            assert!(c.contains(Characteristics::SORTED | Characteristics::DISTINCT));
-            assert!(c.contains(Characteristics::ORDERED));
-        }
+        )
+        .characteristics();
+        assert!(!c.contains(Characteristics::SIZED), "{c:?}");
+        assert!(!c.contains(Characteristics::SUBSIZED), "{c:?}");
+        assert!(!c.contains(Characteristics::POWER2), "{c:?}");
+        assert!(c.contains(Characteristics::SORTED | Characteristics::DISTINCT));
+        assert!(c.contains(Characteristics::ORDERED));
 
         // map ∘ filter chain: union of both drops.
         let chain = FilterStage::new(MapStage::new(IdentityStage, |x: i64| -x), |_: &i64| true);

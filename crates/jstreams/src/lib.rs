@@ -47,7 +47,6 @@ pub mod collector;
 pub mod exec;
 pub mod fused;
 pub mod nway;
-pub mod ops;
 pub mod placement;
 pub mod power;
 pub mod prelude;
@@ -72,8 +71,8 @@ pub use fused::{
     FilterStage, FusePipe, FusedSpliterator, FusedStage, IdentityStage, InspectStage, MapStage,
 };
 pub use nway::{
-    collect_nway_par, collect_nway_seq, NTieSpliterator, NWayCollector, NWayDecomposition,
-    NWaySpliterator, NZipSpliterator, PListCollector,
+    try_collect_nway, NTieSpliterator, NWayCollector, NWayDecomposition, NWaySpliterator,
+    NZipSpliterator, PListCollector,
 };
 pub use placement::{
     descend, fixed_leaves, JoiningPlacement, OutputBuffer, PlacementBuf, PlacementSpec, RunWriter,

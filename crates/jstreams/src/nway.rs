@@ -17,15 +17,22 @@
 //! * [`NWayCollector`] — a collector whose combiner merges *n* partial
 //!   results at once ([`PListCollector`] recombines with `tie_n` /
 //!   `zip_n`);
-//! * [`collect_nway_seq`] / [`collect_nway_par`] — the multi-way collect
-//!   drivers (the parallel one fans each split out on the fork-join
-//!   pool).
+//! * [`try_collect_nway`] — the multi-way collect. It is an
+//!   [`NaryTerminal`] on the split-tree walker ([`crate::walk`]), so it
+//!   shares the session contract of every binary terminal: cancel,
+//!   deadline, panic containment, pool fallback and plobs events.
 
 use crate::characteristics::Characteristics;
+use crate::collect::default_leaf_size;
+use crate::exec::{ExecConfig, ExecError, ExecMode, ExecSession};
 use crate::spliterator::ItemSource;
-use forkjoin::{join, ForkJoinPool};
+use crate::walk::{self, NaryTerminal};
+use forkjoin::SplitPolicy;
+use plobs::{Event, LeafRoute};
 use powerlist::PList;
+use std::marker::PhantomData;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A source splittable into `n` parts at once.
 pub trait NWaySpliterator<T>: ItemSource<T> + Send + Sized {
@@ -61,11 +68,49 @@ struct NDescriptor<T> {
     cursor: usize, // elements already consumed from the front
 }
 
-impl<T: Clone> NDescriptor<T> {
+impl<T> NDescriptor<T> {
+    fn over(list: PList<T>) -> Self {
+        let count = list.len();
+        NDescriptor {
+            data: Arc::new(list.into_vec()),
+            start: 0,
+            count,
+            incr: 1,
+            cursor: 0,
+        }
+    }
+
     fn remaining(&self) -> usize {
         self.count - self.cursor
     }
 
+    /// The `n` parts of the remaining elements: contiguous blocks
+    /// (`tie`), or residue classes mod `n` (`zip`). `None` when `n < 2`
+    /// or `n` does not divide the remaining count.
+    fn split_n(&self, n: usize, blocks: bool) -> Option<Vec<Self>> {
+        let rem = self.remaining();
+        if n < 2 || rem < n || !rem.is_multiple_of(n) {
+            return None;
+        }
+        let m = rem / n;
+        let base = self.start + self.cursor * self.incr;
+        let (offset, incr) = if blocks {
+            (m * self.incr, self.incr)
+        } else {
+            (self.incr, self.incr * n)
+        };
+        let part = |i: usize| NDescriptor {
+            data: Arc::clone(&self.data),
+            start: base + i * offset,
+            count: m,
+            incr,
+            cursor: 0,
+        };
+        Some((0..n).map(part).collect())
+    }
+}
+
+impl<T: Clone> NDescriptor<T> {
     fn advance(&mut self, action: &mut dyn FnMut(T)) -> bool {
         if self.cursor == self.count {
             return false;
@@ -93,15 +138,8 @@ pub struct NTieSpliterator<T> {
 impl<T> NTieSpliterator<T> {
     /// Spliterator over all elements of a PList.
     pub fn over(list: PList<T>) -> Self {
-        let count = list.len();
         NTieSpliterator {
-            d: NDescriptor {
-                data: Arc::new(list.into_vec()),
-                start: 0,
-                count,
-                incr: 1,
-                cursor: 0,
-            },
+            d: NDescriptor::over(list),
         }
     }
 }
@@ -122,32 +160,15 @@ impl<T: Clone> ItemSource<T> for NTieSpliterator<T> {
 
 impl<T: Clone + Send + Sync> NWaySpliterator<T> for NTieSpliterator<T> {
     fn try_split_n(self, n: usize) -> Result<Vec<Self>, Self> {
-        let rem = self.d.remaining();
-        if n < 2 || rem < n || !rem.is_multiple_of(n) {
-            return Err(self);
+        match self.d.split_n(n, true) {
+            Some(parts) => Ok(parts.into_iter().map(|d| NTieSpliterator { d }).collect()),
+            None => Err(self),
         }
-        let m = rem / n;
-        let base = self.d.start + self.d.cursor * self.d.incr;
-        let parts = (0..n)
-            .map(|i| NTieSpliterator {
-                d: NDescriptor {
-                    data: Arc::clone(&self.d.data),
-                    start: base + i * m * self.d.incr,
-                    count: m,
-                    incr: self.d.incr,
-                    cursor: 0,
-                },
-            })
-            .collect();
-        Ok(parts)
     }
 
     fn characteristics(&self) -> Characteristics {
-        Characteristics::ORDERED
-            | Characteristics::SIZED
-            | Characteristics::SUBSIZED
-            | Characteristics::IMMUTABLE
-            | Characteristics::NONNULL
+        // A PList length need not be a power of two.
+        Characteristics::powerlist_default().without(Characteristics::POWER2)
     }
 }
 
@@ -159,15 +180,8 @@ pub struct NZipSpliterator<T> {
 impl<T> NZipSpliterator<T> {
     /// Spliterator over all elements of a PList.
     pub fn over(list: PList<T>) -> Self {
-        let count = list.len();
         NZipSpliterator {
-            d: NDescriptor {
-                data: Arc::new(list.into_vec()),
-                start: 0,
-                count,
-                incr: 1,
-                cursor: 0,
-            },
+            d: NDescriptor::over(list),
         }
     }
 }
@@ -188,32 +202,15 @@ impl<T: Clone> ItemSource<T> for NZipSpliterator<T> {
 
 impl<T: Clone + Send + Sync> NWaySpliterator<T> for NZipSpliterator<T> {
     fn try_split_n(self, n: usize) -> Result<Vec<Self>, Self> {
-        let rem = self.d.remaining();
-        if n < 2 || rem < n || !rem.is_multiple_of(n) {
-            return Err(self);
+        match self.d.split_n(n, false) {
+            Some(parts) => Ok(parts.into_iter().map(|d| NZipSpliterator { d }).collect()),
+            None => Err(self),
         }
-        let m = rem / n;
-        let base = self.d.start + self.d.cursor * self.d.incr;
-        let parts = (0..n)
-            .map(|i| NZipSpliterator {
-                d: NDescriptor {
-                    data: Arc::clone(&self.d.data),
-                    start: base + i * self.d.incr,
-                    count: m,
-                    incr: self.d.incr * n,
-                    cursor: 0,
-                },
-            })
-            .collect();
-        Ok(parts)
     }
 
     fn characteristics(&self) -> Characteristics {
-        Characteristics::ORDERED
-            | Characteristics::SIZED
-            | Characteristics::SUBSIZED
-            | Characteristics::IMMUTABLE
-            | Characteristics::NONNULL
+        // A PList length need not be a power of two.
+        Characteristics::powerlist_default().without(Characteristics::POWER2)
     }
 }
 
@@ -287,119 +284,137 @@ impl<T: Clone + Send> NWayCollector<T> for PListCollector {
     }
 }
 
-/// Sequential n-way collect: drain and finish.
-pub fn collect_nway_seq<T, S, C>(mut source: S, collector: &C) -> C::Out
-where
-    S: NWaySpliterator<T>,
-    C: NWayCollector<T>,
-{
-    let mut acc = collector.supplier();
-    source.for_each_remaining(&mut |x| collector.accumulate(&mut acc, x));
-    collector.finish(acc)
-}
-
-/// Parallel n-way collect on `pool`: splits `arity` ways until
-/// `leaf_size`, processes leaves, and recombines with `combine_n`.
-pub fn collect_nway_par<T, S, C>(
-    pool: &ForkJoinPool,
+/// The fallible n-way collect: splits `arity` ways (at least 2) per
+/// level, drains leaves into the collector and regroups each split's
+/// results with `combine_n`.
+///
+/// It runs on the split-tree walker ([`walk::submit_n`]) under one
+/// [`ExecSession`], so it meets the contract of every other terminal:
+/// panics in user code surface as [`ExecError::Panicked`], cancel tokens
+/// and deadlines as [`ExecError::Cancelled`] /
+/// [`ExecError::DeadlineExceeded`], and a shut-down or saturated pool
+/// degrades to the sequential route with a recorded `Event::Fallback`.
+/// `cfg`'s pool defaults to the global pool and its policy to
+/// [`SplitPolicy::Fixed`] at [`default_leaf_size`]; the tuner is not
+/// consulted. [`ExecMode::Seq`] and the fallback drain the whole source
+/// as one contained leaf.
+pub fn try_collect_nway<T, S, C>(
     source: S,
-    collector: Arc<C>,
+    collector: C,
     arity: usize,
-    leaf_size: usize,
-) -> C::Out
+    cfg: &ExecConfig,
+) -> Result<C::Out, ExecError>
 where
     T: Send + 'static,
     S: NWaySpliterator<T> + 'static,
     C: NWayCollector<T> + 'static,
     C::Acc: 'static,
 {
-    let arity = arity.max(2);
-    let leaf_size = leaf_size.max(1);
-    let c2 = Arc::clone(&collector);
-    let acc = pool.install(move || recurse(source, c2, arity, leaf_size));
-    collector.finish(acc)
-}
-
-fn recurse<T, S, C>(mut source: S, collector: Arc<C>, arity: usize, leaf_size: usize) -> C::Acc
-where
-    T: Send + 'static,
-    S: NWaySpliterator<T> + 'static,
-    C: NWayCollector<T> + 'static,
-    C::Acc: 'static,
-{
-    // The size cutoff only applies to exact sizes (SIZED): an
-    // upper-bound estimate must not stop the descent early — inexact
-    // sources split until `try_split_n` refuses.
-    if source.exact_size().is_some_and(|size| size <= leaf_size) {
-        let mut acc = collector.supplier();
-        source.for_each_remaining(&mut |x| collector.accumulate(&mut acc, x));
-        return acc;
-    }
-    match source.try_split_n(arity) {
-        Err(mut s) => {
-            let mut acc = collector.supplier();
-            s.for_each_remaining(&mut |x| collector.accumulate(&mut acc, x));
-            acc
-        }
-        Ok(parts) => {
-            let accs = par_map_parts(parts, &collector, arity, leaf_size);
-            collector.combine_n(accs)
-        }
-    }
-}
-
-/// Runs `recurse` over each part in parallel (binary join fan-out),
-/// preserving order.
-fn par_map_parts<T, S, C>(
-    parts: Vec<S>,
-    collector: &Arc<C>,
-    arity: usize,
-    leaf_size: usize,
-) -> Vec<C::Acc>
-where
-    T: Send + 'static,
-    S: NWaySpliterator<T> + 'static,
-    C: NWayCollector<T> + 'static,
-    C::Acc: 'static,
-{
-    fn go<T, S, C>(
-        mut parts: Vec<S>,
-        collector: Arc<C>,
-        arity: usize,
-        leaf_size: usize,
-    ) -> Vec<C::Acc>
-    where
-        T: Send + 'static,
-        S: NWaySpliterator<T> + 'static,
-        C: NWayCollector<T> + 'static,
-        C::Acc: 'static,
-    {
-        match parts.len() {
-            0 => Vec::new(),
-            1 => vec![recurse(
-                parts.pop().expect("len 1"),
-                collector,
-                arity,
-                leaf_size,
-            )],
-            _ => {
-                let right = parts.split_off(parts.len() / 2);
-                let c2 = Arc::clone(&collector);
-                let (mut l, mut r) = join(
-                    move || go(parts, collector, arity, leaf_size),
-                    move || go(right, c2, arity, leaf_size),
-                );
-                l.append(&mut r);
-                l
+    let session = ExecSession::new(cfg);
+    let collector = Arc::new(collector);
+    let terminal = NWayCollect {
+        collector: Arc::clone(&collector),
+        session: session.clone(),
+        arity: arity.max(2),
+        _source: PhantomData,
+    };
+    let pool = match cfg.mode() {
+        ExecMode::Seq => None,
+        ExecMode::Par => {
+            let pool = walk::pool_of(cfg);
+            match walk::fallback_reason(pool, cfg) {
+                Some(reason) => {
+                    plobs::emit(Event::Fallback { reason });
+                    None
+                }
+                None => Some(pool),
             }
         }
+    };
+    let acc = match pool {
+        None => session
+            .check()
+            .and_then(|()| session.run(|| terminal.leaf(source))),
+        Some(pool) => {
+            let policy = cfg.policy().unwrap_or_else(|| {
+                SplitPolicy::Fixed(default_leaf_size(source.estimate_size(), pool.threads()))
+            });
+            walk::submit_n(pool, terminal, source, policy)
+        }
+    };
+    acc.and_then(|acc| session.run(|| collector.finish(acc)))
+        .map_err(|i| session.error_of(i))
+}
+
+/// The n-way collect's subtree protocol: a node is an n-way
+/// spliterator, a leaf drains it into a fresh container, and a split's
+/// containers merge through the collector's `combine_n`.
+struct NWayCollect<T, S, C> {
+    collector: Arc<C>,
+    session: ExecSession,
+    arity: usize,
+    _source: PhantomData<fn(S) -> T>,
+}
+
+impl<T, S, C> NaryTerminal for NWayCollect<T, S, C>
+where
+    T: Send + 'static,
+    S: NWaySpliterator<T> + 'static,
+    C: NWayCollector<T> + 'static,
+    C::Acc: 'static,
+{
+    type Node = S;
+    type Out = C::Acc;
+    type Cut = ();
+    type Session = ExecSession;
+
+    fn session(&self) -> &ExecSession {
+        &self.session
     }
-    go(parts, Arc::clone(collector), arity, leaf_size)
+
+    fn exact_size(&self, source: &S) -> Option<usize> {
+        source.exact_size()
+    }
+
+    fn split_n(&self, source: S) -> Result<(Vec<S>, ()), S> {
+        source.try_split_n(self.arity).map(|parts| (parts, ()))
+    }
+
+    fn leaf(&self, mut source: S) -> C::Acc {
+        let start = plobs::enabled().then(Instant::now);
+        let mut acc = self.collector.supplier();
+        let mut items = 0u64;
+        source.for_each_remaining(&mut |x| {
+            items += 1;
+            self.collector.accumulate(&mut acc, x);
+        });
+        if let Some(start) = start {
+            plobs::emit(Event::Leaf {
+                route: LeafRoute::CloningDrain,
+                items,
+                ns: start.elapsed().as_nanos() as u64,
+            });
+        }
+        acc
+    }
+
+    fn combine_n(&self, (): (), parts: Vec<C::Acc>) -> C::Acc {
+        self.collector.combine_n(parts)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use forkjoin::ForkJoinPool;
+
+    /// A parallel config on a fresh pool of `threads` workers with a
+    /// fixed leaf size.
+    fn par(threads: usize, leaf: usize) -> ExecConfig {
+        ExecConfig::par()
+            .with_pool(Arc::new(ForkJoinPool::new(threads)))
+            .with_leaf_size(leaf)
+    }
 
     fn plist(n: usize) -> PList<i64> {
         PList::from_vec((0..n as i64).collect()).unwrap()
@@ -458,30 +473,28 @@ mod tests {
     #[test]
     fn identity_collect_tie() {
         let _serial = crate::test_serial::shared();
-        let pool = ForkJoinPool::new(2);
         let p = plist(27);
-        let out = collect_nway_par(
-            &pool,
+        let out = try_collect_nway(
             NTieSpliterator::over(p.clone()),
-            Arc::new(PListCollector::new(NWayDecomposition::Tie)),
+            PListCollector::new(NWayDecomposition::Tie),
             3,
-            1,
-        );
+            &par(2, 1),
+        )
+        .unwrap();
         assert_eq!(out, p);
     }
 
     #[test]
     fn identity_collect_zip() {
         let _serial = crate::test_serial::shared();
-        let pool = ForkJoinPool::new(3);
         let p = plist(27);
-        let out = collect_nway_par(
-            &pool,
+        let out = try_collect_nway(
             NZipSpliterator::over(p.clone()),
-            Arc::new(PListCollector::new(NWayDecomposition::Zip)),
+            PListCollector::new(NWayDecomposition::Zip),
             3,
-            1,
-        );
+            &par(3, 1),
+        )
+        .unwrap();
         assert_eq!(out, p);
     }
 
@@ -489,15 +502,14 @@ mod tests {
     fn identity_collect_mixed_arities() {
         let _serial = crate::test_serial::shared();
         // Length 36 = 3 × 3 × 4: split 3-ways until leaves of 4.
-        let pool = ForkJoinPool::new(2);
         let p = plist(36);
-        let out = collect_nway_par(
-            &pool,
+        let out = try_collect_nway(
             NZipSpliterator::over(p.clone()),
-            Arc::new(PListCollector::new(NWayDecomposition::Zip)),
+            PListCollector::new(NWayDecomposition::Zip),
             3,
-            4,
-        );
+            &par(2, 4),
+        )
+        .unwrap();
         assert_eq!(out, p);
     }
 
@@ -505,10 +517,13 @@ mod tests {
     fn sequential_collect_matches() {
         let _serial = crate::test_serial::shared();
         let p = plist(12);
-        let out = collect_nway_seq(
+        let out = try_collect_nway(
             NTieSpliterator::over(p.clone()),
-            &PListCollector::new(NWayDecomposition::Tie),
-        );
+            PListCollector::new(NWayDecomposition::Tie),
+            3,
+            &ExecConfig::seq(),
+        )
+        .unwrap();
         assert_eq!(out, p);
     }
 
@@ -516,15 +531,14 @@ mod tests {
     fn mismatched_combiner_scrambles() {
         let _serial = crate::test_serial::shared();
         // zip-split + tie-combine permutes, like the binary case.
-        let pool = ForkJoinPool::new(2);
         let p = plist(9);
-        let out = collect_nway_par(
-            &pool,
+        let out = try_collect_nway(
             NZipSpliterator::over(p.clone()),
-            Arc::new(PListCollector::new(NWayDecomposition::Tie)),
+            PListCollector::new(NWayDecomposition::Tie),
             3,
-            1,
-        );
+            &par(2, 1),
+        )
+        .unwrap();
         assert_ne!(out, p);
         assert_eq!(out.as_slice(), &[0, 3, 6, 1, 4, 7, 2, 5, 8]);
     }
@@ -532,15 +546,14 @@ mod tests {
     #[test]
     fn leaf_size_larger_than_input() {
         let _serial = crate::test_serial::shared();
-        let pool = ForkJoinPool::new(2);
         let p = plist(5);
-        let out = collect_nway_par(
-            &pool,
+        let out = try_collect_nway(
             NZipSpliterator::over(p.clone()),
-            Arc::new(PListCollector::new(NWayDecomposition::Zip)),
+            PListCollector::new(NWayDecomposition::Zip),
             3,
-            100,
-        );
+            &par(2, 100),
+        )
+        .unwrap();
         assert_eq!(out, p);
     }
 }

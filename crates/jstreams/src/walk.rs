@@ -1,5 +1,5 @@
 //! The split-tree walker: the one fork-join recursion behind every
-//! binary divide-and-conquer terminal.
+//! divide-and-conquer terminal, binary or n-ary.
 //!
 //! The paper's point is that `collect` *is* a divide-and-conquer
 //! template method — split, leaf, combine — and JPLF's `PowerFunction`
@@ -32,6 +32,13 @@
 //! The walker is monomorphised per terminal. The terminal travels down
 //! the tree as one `Arc`, so a split costs two reference-count bumps and
 //! no allocation beyond the `join` itself.
+//!
+//! **n-ary terminals** (the n-way collect, JPLF's PList functions) split
+//! into any number of parts at once. They implement [`NaryTerminal`] and
+//! run through the [`Fan`] adapter, which is itself a binary
+//! [`Terminal`]: its node is a run of sibling nodes, so an n-way split
+//! becomes a balanced binary fan-out over the parts and the binary
+//! `visit` path stays free of per-split vectors.
 
 use crate::collect::default_leaf_size;
 use crate::exec::{ExecConfig, ExecSession, Interrupt};
@@ -239,6 +246,118 @@ fn visit<T: Terminal>(
         });
     }
     Ok(out)
+}
+
+/// One n-ary divide-and-conquer terminal: a split yields any number of
+/// encounter-order parts, merged again by one `combine_n`. It runs on the
+/// binary walker through [`Fan`] ([`submit_n`]).
+pub trait NaryTerminal: Send + Sync + 'static {
+    /// One subtree.
+    type Node: Send + 'static;
+    /// A subtree's result.
+    type Out: Send + 'static;
+    /// What a split node keeps for its `combine_n` (a JPLF parent
+    /// function instance).
+    type Cut: Send + 'static;
+    /// The run's checkpoint.
+    type Session: Checkpoint;
+
+    /// The run's session.
+    fn session(&self) -> &Self::Session;
+
+    /// The node's exact element count, as [`Terminal::exact_size`].
+    fn exact_size(&self, node: &Self::Node) -> Option<usize>;
+
+    /// Cuts `node` into its encounter-order parts, at least two.
+    /// `Err(node)` hands back a node that cannot split; it then runs as
+    /// a leaf. Runs contained.
+    #[allow(clippy::type_complexity)]
+    fn split_n(&self, node: Self::Node) -> Result<(Vec<Self::Node>, Self::Cut), Self::Node>;
+
+    /// Runs `node` as one leaf and records its `Event::Leaf`. Runs
+    /// contained.
+    fn leaf(&self, node: Self::Node) -> Self::Out;
+
+    /// Merges the results of one split's parts, in encounter order.
+    /// Runs contained, after the combine checkpoint.
+    fn combine_n(&self, cut: Self::Cut, parts: Vec<Self::Out>) -> Self::Out;
+}
+
+/// Runs an [`NaryTerminal`] as a binary [`Terminal`]. A node is a run of
+/// sibling nodes and yields one result per member:
+///
+/// * a one-member run splits through `split_n` and halves the parts;
+///   its cut regroups the halves' results with `combine_n`;
+/// * a longer run just halves; its cut concatenates;
+/// * a run's exact size is the sum of its members' sizes.
+///
+/// At arity 2 this records exactly the tree a binary terminal records.
+pub struct Fan<N>(pub N);
+
+impl<N: NaryTerminal> Terminal for Fan<N> {
+    type Node = Vec<N::Node>;
+    type Out = Vec<N::Out>;
+    /// `Some`: regroup with `combine_n`. `None`: concatenate.
+    type Cut = Option<N::Cut>;
+    type Session = N::Session;
+    const COMBINE: Combine = Combine::Merge;
+
+    fn session(&self) -> &N::Session {
+        self.0.session()
+    }
+
+    fn exact_size(&self, run: &Vec<N::Node>) -> Option<usize> {
+        run.iter().map(|node| self.0.exact_size(node)).sum()
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn split(
+        &self,
+        mut run: Vec<N::Node>,
+    ) -> Result<(Vec<N::Node>, Vec<N::Node>, Option<N::Cut>), Vec<N::Node>> {
+        let cut = if run.len() == 1 {
+            match self.0.split_n(run.pop().expect("one member")) {
+                Ok((parts, cut)) => {
+                    run = parts;
+                    Some(cut)
+                }
+                Err(node) => return Err(vec![node]),
+            }
+        } else {
+            None
+        };
+        let right = run.split_off(run.len() / 2);
+        Ok((run, right, cut))
+    }
+
+    fn leaf(&self, run: Vec<N::Node>) -> Vec<N::Out> {
+        run.into_iter().map(|node| self.0.leaf(node)).collect()
+    }
+
+    fn combine(
+        &self,
+        cut: Option<N::Cut>,
+        mut left: Vec<N::Out>,
+        mut right: Vec<N::Out>,
+    ) -> Vec<N::Out> {
+        left.append(&mut right);
+        match cut {
+            Some(cut) => vec![self.0.combine_n(cut, left)],
+            None => left,
+        }
+    }
+}
+
+/// Submits the n-ary walk rooted at `root` to `pool`: [`submit`] over
+/// [`Fan`], with the root as a one-member run.
+pub fn submit_n<N: NaryTerminal>(
+    pool: &ForkJoinPool,
+    terminal: N,
+    root: N::Node,
+    policy: SplitPolicy,
+) -> Result<N::Out, Interrupt> {
+    let mut outs = submit(pool, Arc::new(Fan(terminal)), vec![root], policy)?;
+    Ok(outs.pop().expect("a one-member run yields one result"))
 }
 
 /// Why a parallel run on `pool` should take its sequential route

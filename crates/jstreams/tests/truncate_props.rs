@@ -9,7 +9,6 @@
 //! (filtered) inners where splitting must be refused rather than
 //! miscounted.
 
-use jstreams::ops::FilterSpliterator;
 use jstreams::{
     Characteristics, FilterStage, FusedSpliterator, IdentityStage, ItemSource, LeafAccess,
     LimitSpliterator, MapStage, PeekSpliterator, SkipSpliterator, SliceSpliterator, Spliterator,
@@ -181,9 +180,9 @@ fn truncation_over_filter_refuses_to_split() {
     // With allowance arithmetic on the filter's upper-bound sizes, a
     // split would let the prefix absorb skip debt it cannot fulfil and
     // leak 4 into the output. The SIZED|SUBSIZED gate forbids the split.
-    let inner = FilterSpliterator::new(
+    let inner = FusedSpliterator::new(
         SliceSpliterator::new((0..8i64).collect()),
-        Arc::new(|x: &i64| x % 2 == 0),
+        FilterStage::new(IdentityStage, |x: &i64| x % 2 == 0),
     );
     let mut s = SkipSpliterator::new(inner, 3);
     assert!(
@@ -192,9 +191,9 @@ fn truncation_over_filter_refuses_to_split() {
     );
     assert_eq!(drained(s, 1), vec![6]);
 
-    let inner = FilterSpliterator::new(
+    let inner = FusedSpliterator::new(
         SliceSpliterator::new((0..8i64).collect()),
-        Arc::new(|x: &i64| x % 2 == 0),
+        FilterStage::new(IdentityStage, |x: &i64| x % 2 == 0),
     );
     let mut s = LimitSpliterator::new(inner, 3);
     assert!(
@@ -210,16 +209,16 @@ fn filtered_truncations_match_model_at_every_granularity() {
         let model: Vec<i64> = (0..len as i64).filter(|x| x % 3 != 0).collect();
         for k in 0..=model.len() + 1 {
             for leaf in 1..=len {
-                let inner = FilterSpliterator::new(
+                let inner = FusedSpliterator::new(
                     SliceSpliterator::new((0..len as i64).collect()),
-                    Arc::new(|x: &i64| x % 3 != 0),
+                    FilterStage::new(IdentityStage, |x: &i64| x % 3 != 0),
                 );
                 let got = drained(LimitSpliterator::new(inner, k), leaf);
                 assert_eq!(got, model[..k.min(model.len())], "filter+limit");
 
-                let inner = FilterSpliterator::new(
+                let inner = FusedSpliterator::new(
                     SliceSpliterator::new((0..len as i64).collect()),
-                    Arc::new(|x: &i64| x % 3 != 0),
+                    FilterStage::new(IdentityStage, |x: &i64| x % 3 != 0),
                 );
                 let got = drained(SkipSpliterator::new(inner, k), leaf);
                 assert_eq!(got, model[k.min(model.len())..], "filter+skip");

@@ -12,45 +12,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use jplf::{Decomp, Executor};
-use jstreams::{
-    stream_support, Characteristics, Decomposition, ItemSource, LeafAccess, ReduceCollector,
-    Spliterator, TieSpliterator,
-};
-use plbench::random_ints;
+use jstreams::{stream_support, Decomposition, ReduceCollector, TieSpliterator};
+use plbench::{random_ints, Opaque};
 use std::hint::black_box;
 use std::sync::Arc;
-
-/// Hides a spliterator's `LeafAccess` capability so the collect driver
-/// takes the cloning per-element drain — keeps the seed's leaf cost
-/// measurable next to the zero-copy rows (the delta the Ablation B
-/// table in EXPERIMENTS.md reports).
-struct Opaque<S>(S);
-
-impl<T, S: ItemSource<T>> ItemSource<T> for Opaque<S> {
-    fn try_advance(&mut self, action: &mut dyn FnMut(T)) -> bool {
-        self.0.try_advance(action)
-    }
-
-    fn for_each_remaining(&mut self, action: &mut dyn FnMut(T)) {
-        self.0.for_each_remaining(action)
-    }
-
-    fn estimate_size(&self) -> usize {
-        self.0.estimate_size()
-    }
-}
-
-impl<T, S> LeafAccess<T> for Opaque<S> {}
-
-impl<T, S: Spliterator<T>> Spliterator<T> for Opaque<S> {
-    fn try_split(&mut self) -> Option<Self> {
-        self.0.try_split().map(Opaque)
-    }
-
-    fn characteristics(&self) -> Characteristics {
-        self.0.characteristics()
-    }
-}
 
 fn bench_frameworks(c: &mut Criterion) {
     let mut group = c.benchmark_group("frameworks");

@@ -1,4 +1,4 @@
-//! Emits `BENCH_fused_*.json` A/B rows: cloning-drain adapters vs the
+//! Emits `BENCH_fused_*.json` A/B rows: the cloning drain vs the
 //! fused-borrow leaf route.
 //!
 //! ```text
@@ -8,17 +8,15 @@
 //! Two rows are produced, one per pipeline shape (default `2^18`):
 //!
 //! * `BENCH_fused_mapreduce.json` — `map(|x| a*x + b).reduce(+)`. The
-//!   cloning arm builds the pipeline from an explicit
-//!   [`MapSpliterator`] adapter (no borrowed leaf access, so every leaf
-//!   takes the per-element cloning drain — the pre-fusion behaviour);
-//!   the fused arm uses `Stream::map`, which extends a fused chain over
-//!   the untouched slice source so every leaf takes the
+//!   cloning arm builds the same pipeline over an [`Opaque`] source,
+//!   which hides the slice's borrowed run, so every leaf takes the
+//!   per-element cloning drain (the pre-fusion behaviour); the fused
+//!   arm runs over the slice source itself, so every leaf takes the
 //!   [`FusedBorrow`](plobs::LeafRoute) route.
 //! * `BENCH_fused_filtered_poly.json` — the same A/B for a
-//!   `map ∘ filter` polynomial-term pipeline (nested Map/Filter
-//!   adapters vs one fused chain). The fused chain drops `SIZED`, so
-//!   splitting is depth-capped, but leaves still borrow the source run
-//!   and report **survivor** item counts.
+//!   `map ∘ filter` polynomial-term pipeline. The chain drops `SIZED`,
+//!   so splitting is depth-capped, but fused leaves still borrow the
+//!   source run and report **survivor** item counts.
 //!
 //! Each row carries `cloning_ms` / `fused_ms` / `fused_speedup` columns
 //! plus both aggregated [`plobs::RunReport`]s, and the bin *asserts* the
@@ -27,9 +25,8 @@
 //! reduced value.
 
 use forkjoin::ForkJoinPool;
-use jstreams::ops::{FilterSpliterator, MapSpliterator};
 use jstreams::{stream_support, SliceSpliterator};
-use plbench::{ms, random_ints, time_avg, PAPER_RUNS};
+use plbench::{ms, random_ints, time_avg, Opaque, PAPER_RUNS};
 use plobs::RunReport;
 use std::io::Write;
 use std::path::PathBuf;
@@ -193,18 +190,14 @@ fn main() {
     // traversal cost, not input re-copying.
     let ints: Arc<Vec<i64>> = Arc::new(random_ints(n, 0x5EED_F00D).into_vec());
 
-    // Row 1: map + reduce. The cloning arm routes the same function
-    // through an explicit MapSpliterator adapter — the pre-fusion
-    // pipeline shape, whose leaves have no borrowed access.
+    // Row 1: map + reduce. The cloning arm runs the same pipeline over
+    // an opaque source, whose leaves have no borrowed access.
     let data = Arc::clone(&ints);
     let p2 = Arc::clone(&pool);
     let cloning = move || {
-        let adapter = MapSpliterator::new(
-            SliceSpliterator::shared(Arc::clone(&data)),
-            Arc::new(|x: i64| A.wrapping_mul(x).wrapping_add(B)),
-        );
-        stream_support(adapter, true)
+        stream_support(Opaque(SliceSpliterator::shared(Arc::clone(&data))), true)
             .with_pool(Arc::clone(&p2))
+            .map(|x: i64| A.wrapping_mul(x).wrapping_add(B))
             .reduce(0i64, |a, b| a.wrapping_add(b))
     };
     let data = Arc::clone(&ints);
@@ -229,22 +222,18 @@ fn main() {
     );
     write_row(&args.out_dir, "BENCH_fused_mapreduce.json", &row);
 
-    // Row 2: map ∘ filter polynomial terms. Cloning arm nests
-    // Filter(Map(source)); fused arm carries one two-stage chain. The
-    // filtered fused leaves must report survivor counts, so total items
-    // agree across the two reports.
+    // Row 2: map ∘ filter polynomial terms, one two-stage chain in
+    // both arms. The filtered fused leaves must report survivor counts,
+    // so total items agree across the two reports.
     let data = Arc::clone(&ints);
     let p2 = Arc::clone(&pool);
     let cloning = move || {
-        let mapped = MapSpliterator::new(
-            SliceSpliterator::shared(Arc::clone(&data)),
-            Arc::new(|x: i64| x.wrapping_mul(x).wrapping_add(1)),
-        );
         // x²+1 is odd exactly when x is even: the filter genuinely
         // drops ~half the elements, so survivor accounting is exercised.
-        let filtered = FilterSpliterator::new(mapped, Arc::new(|t: &i64| t & 1 == 1));
-        stream_support(filtered, true)
+        stream_support(Opaque(SliceSpliterator::shared(Arc::clone(&data))), true)
             .with_pool(Arc::clone(&p2))
+            .map(|x: i64| x.wrapping_mul(x).wrapping_add(1))
+            .filter(|t: &i64| t & 1 == 1)
             .reduce(0i64, |a, b| a.wrapping_add(b))
     };
     let data = ints;

@@ -18,6 +18,7 @@
 
 #![warn(missing_docs)]
 
+use jstreams::{Characteristics, FusePipe, IdentityStage, ItemSource, LeafAccess, Spliterator};
 use powerlist::{tabulate, PowerList};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -90,6 +91,57 @@ pub fn time_min<R>(runs: usize, mut f: impl FnMut() -> R) -> (R, Duration) {
 /// Milliseconds as f64, for table printing.
 pub fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
+}
+
+/// Hides a spliterator's `LeafAccess` capability, so the collect driver
+/// takes the cloning per-element drain, and a fused `map`/`filter` chain
+/// over it finds no borrowed run. It is the baseline that keeps the
+/// per-element leaf cost measurable next to the zero-copy and
+/// fused-borrow rows (Ablations B and F in EXPERIMENTS.md).
+pub struct Opaque<S>(pub S);
+
+impl<T, S: ItemSource<T>> ItemSource<T> for Opaque<S> {
+    fn try_advance(&mut self, action: &mut dyn FnMut(T)) -> bool {
+        self.0.try_advance(action)
+    }
+
+    fn for_each_remaining(&mut self, action: &mut dyn FnMut(T)) {
+        self.0.for_each_remaining(action)
+    }
+
+    fn estimate_size(&self) -> usize {
+        self.0.estimate_size()
+    }
+}
+
+impl<T, S> LeafAccess<T> for Opaque<S> {}
+
+impl<T, S: Spliterator<T>> Spliterator<T> for Opaque<S> {
+    fn try_split(&mut self) -> Option<Self> {
+        self.0.try_split().map(Opaque)
+    }
+
+    fn characteristics(&self) -> Characteristics {
+        self.0.characteristics()
+    }
+
+    fn prefix_splits(&self) -> bool {
+        self.0.prefix_splits()
+    }
+}
+
+impl<T, S> FusePipe<T> for Opaque<S>
+where
+    T: Clone + Send + 'static,
+    S: Spliterator<T> + 'static,
+{
+    type Base = T;
+    type Src = Self;
+    type Chain = IdentityStage;
+
+    fn decompose(self) -> (Self, IdentityStage) {
+        (self, IdentityStage)
+    }
 }
 
 #[cfg(test)]

@@ -4,10 +4,11 @@
 //! pool, `forkjoin::join` runs its second half on a spawned model
 //! thread, so the checker interleaves the halves of every split — and
 //! with them the node-entry checkpoints, the interrupt merge and the
-//! `Found` pruning.
+//! `Found` pruning. The n-ary adapter ([`walk::Fan`]) is checked the
+//! same way: it is a binary terminal over runs of sibling nodes.
 
 use forkjoin::SplitPolicy;
-use jstreams::walk::{self, Combine, Terminal};
+use jstreams::walk::{self, Combine, Fan, NaryTerminal, Terminal};
 use jstreams::{ExecConfig, ExecSession, Interrupt, SearchSession};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Once};
@@ -223,4 +224,130 @@ fn found_trip_ends_in_success_with_paired_prunes() {
         );
     });
     report.assert_ok();
+}
+
+/// Members of the n-ary model: the root splits into this many unit
+/// members at once.
+const ARITY: usize = 3;
+
+/// An arity-3 [`NaryTerminal`] over `[0, ARITY)`: the root splits into
+/// unit members, the member at `i` counts its runs and yields `i` (the
+/// `poison` member panics), and `combine_n` records the parts it
+/// receives.
+struct FanModel {
+    session: ExecSession,
+    runs: [AtomicUsize; ARITY],
+    poison: Option<usize>,
+    combined: Mutex<Vec<Vec<usize>>>,
+}
+
+impl FanModel {
+    fn new(poison: Option<usize>) -> Arc<Fan<Self>> {
+        Arc::new(Fan(FanModel {
+            session: ExecSession::new(&ExecConfig::par()),
+            runs: Default::default(),
+            poison,
+            combined: Mutex::new(Vec::new()),
+        }))
+    }
+
+    fn runs(&self) -> Vec<usize> {
+        self.runs.iter().map(|r| r.load(Ordering::SeqCst)).collect()
+    }
+}
+
+impl NaryTerminal for FanModel {
+    type Node = (usize, usize);
+    type Out = usize;
+    type Cut = ();
+    type Session = ExecSession;
+
+    fn session(&self) -> &ExecSession {
+        &self.session
+    }
+
+    fn exact_size(&self, (lo, hi): &(usize, usize)) -> Option<usize> {
+        Some(hi - lo)
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn split_n(
+        &self,
+        (lo, hi): (usize, usize),
+    ) -> Result<(Vec<(usize, usize)>, ()), (usize, usize)> {
+        if hi - lo < 2 {
+            return Err((lo, hi));
+        }
+        Ok(((lo..hi).map(|i| (i, i + 1)).collect(), ()))
+    }
+
+    fn leaf(&self, (lo, _): (usize, usize)) -> usize {
+        plcheck::yield_op("walk::leaf");
+        self.runs[lo].fetch_add(1, Ordering::SeqCst);
+        assert!(self.poison != Some(lo), "leaf bang");
+        lo
+    }
+
+    fn combine_n(&self, (): (), parts: Vec<usize>) -> usize {
+        let sum = parts.iter().sum();
+        self.combined.lock().unwrap().push(parts);
+        sum
+    }
+}
+
+/// The walk of the n-ary model: the root as a one-member run, unit
+/// leaves under the static policy.
+fn fan_all(t: &Arc<Fan<FanModel>>) -> Result<Vec<usize>, Interrupt> {
+    walk::walk(Arc::clone(t), vec![(0, ARITY)], SplitPolicy::Fixed(1), 0)
+}
+
+/// Through the n-ary adapter, every member leaf runs exactly once in
+/// every interleaving, and the one `combine_n` receives all the parts in
+/// encounter order: the concatenating cut of the right run never
+/// reorders them.
+#[test]
+fn fan_runs_every_member_once_and_combines_in_order() {
+    let _serial = serial();
+    let report = plcheck::Explorer::exhaustive(5_000).run(|| {
+        let t = FanModel::new(None);
+        let out = fan_all(&t).expect("an uninterrupted walk succeeds");
+        assert_eq!(out, vec![(0..ARITY).sum::<usize>()], "one root result");
+        assert_eq!(t.0.runs(), vec![1; ARITY], "each member exactly once");
+        let combined = t.0.combined.lock().unwrap();
+        assert_eq!(*combined, vec![(0..ARITY).collect::<Vec<_>>()]);
+    });
+    report.assert_ok();
+}
+
+/// A panic in one member trips the session, and the merged interrupt is
+/// that panic whatever the siblings' cancels; no member runs twice, and
+/// some schedule really prunes a sibling.
+#[test]
+fn fan_member_panic_outranks_the_cancels_it_causes() {
+    let _serial = serial();
+    quiet_leaf_panics();
+    let pruned = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&pruned);
+    let report = plcheck::Explorer::exhaustive(5_000).run(move || {
+        let t = FanModel::new(Some(ARITY - 1));
+        match fan_all(&t) {
+            Err(Interrupt::Panicked(_)) => {}
+            other => plcheck::fail(format!("expected the member panic, got {other:?}")),
+        }
+        let runs = t.0.runs();
+        assert_eq!(runs[ARITY - 1], 1, "the poison member ran");
+        assert!(
+            runs.iter().all(|&r| r <= 1),
+            "no member runs twice: {runs:?}"
+        );
+        assert!(t.0.combined.lock().unwrap().is_empty(), "no combine_n");
+        if runs.contains(&0) {
+            seen.fetch_add(1, Ordering::SeqCst);
+        }
+    });
+    report.assert_ok();
+    assert!(
+        pruned.load(Ordering::SeqCst) > 0,
+        "some interleaving must cancel a sibling member"
+    );
 }

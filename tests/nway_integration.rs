@@ -5,15 +5,34 @@
 
 use forkjoin::ForkJoinPool;
 use jplf::{
-    compute_plist_parallel, compute_plist_sequential, Decomp, Executor, NWayReduce,
+    compute_plist_sequential, Decomp, Executor, ForkJoinExecutor, NWayReduce, PListFunction,
     SequentialExecutor,
 };
 use jstreams::{
-    collect_nway_par, collect_nway_seq, NTieSpliterator, NWayDecomposition, NZipSpliterator,
+    try_collect_nway, ExecConfig, NTieSpliterator, NWayDecomposition, NZipSpliterator,
     PListCollector,
 };
 use powerlist::{PList, PowerList};
 use std::sync::Arc;
+
+/// A parallel config on `pool` with a fixed leaf size.
+fn par(pool: &Arc<ForkJoinPool>, leaf: usize) -> ExecConfig {
+    ExecConfig::par()
+        .with_pool(Arc::clone(pool))
+        .with_leaf_size(leaf)
+}
+
+/// The fork-join PList executor on `pool` with a fixed leaf size.
+fn plist_par<F: PListFunction + Clone>(
+    pool: &Arc<ForkJoinPool>,
+    f: &F,
+    p: &PList<F::Elem>,
+    leaf: usize,
+) -> F::Out {
+    ForkJoinExecutor::with_pool(Arc::clone(pool), leaf)
+        .try_execute_plist(f, p, &ExecConfig::par())
+        .unwrap_or_else(|e| panic!("plist execution failed: {e}"))
+}
 
 fn plist(n: usize) -> PList<i64> {
     PList::from_vec((0..n as i64).map(|i| (i * 29 + 5) % 83).collect()).unwrap()
@@ -21,26 +40,26 @@ fn plist(n: usize) -> PList<i64> {
 
 #[test]
 fn nway_identity_collect_across_arities_and_leaves() {
-    let pool = ForkJoinPool::new(2);
+    let pool = Arc::new(ForkJoinPool::new(2));
     for n in [1usize, 3, 9, 27, 81, 12, 36] {
         let p = plist(n);
         for arity in [2usize, 3, 4] {
             for leaf in [1usize, 3, 10] {
-                let tie = collect_nway_par(
-                    &pool,
+                let tie = try_collect_nway(
                     NTieSpliterator::over(p.clone()),
-                    Arc::new(PListCollector::new(NWayDecomposition::Tie)),
+                    PListCollector::new(NWayDecomposition::Tie),
                     arity,
-                    leaf,
-                );
+                    &par(&pool, leaf),
+                )
+                .unwrap();
                 assert_eq!(tie, p, "tie n={n} arity={arity} leaf={leaf}");
-                let zip = collect_nway_par(
-                    &pool,
+                let zip = try_collect_nway(
                     NZipSpliterator::over(p.clone()),
-                    Arc::new(PListCollector::new(NWayDecomposition::Zip)),
+                    PListCollector::new(NWayDecomposition::Zip),
                     arity,
-                    leaf,
-                );
+                    &par(&pool, leaf),
+                )
+                .unwrap();
                 assert_eq!(zip, p, "zip n={n} arity={arity} leaf={leaf}");
             }
         }
@@ -49,19 +68,22 @@ fn nway_identity_collect_across_arities_and_leaves() {
 
 #[test]
 fn nway_seq_equals_par() {
-    let pool = ForkJoinPool::new(3);
+    let pool = Arc::new(ForkJoinPool::new(3));
     let p = plist(54); // 2 · 27
-    let seq = collect_nway_seq(
+    let seq = try_collect_nway(
         NTieSpliterator::over(p.clone()),
-        &PListCollector::new(NWayDecomposition::Tie),
-    );
-    let par = collect_nway_par(
-        &pool,
-        NTieSpliterator::over(p.clone()),
-        Arc::new(PListCollector::new(NWayDecomposition::Tie)),
+        PListCollector::new(NWayDecomposition::Tie),
         3,
-        2,
-    );
+        &ExecConfig::seq(),
+    )
+    .unwrap();
+    let par = try_collect_nway(
+        NTieSpliterator::over(p.clone()),
+        PListCollector::new(NWayDecomposition::Tie),
+        3,
+        &par(&pool, 2),
+    )
+    .unwrap();
     assert_eq!(seq, par);
     assert_eq!(seq, p);
 }
@@ -91,17 +113,13 @@ fn plist_function_agrees_with_binary_on_powers_of_two() {
 
 #[test]
 fn plist_parallel_full_stack() {
-    let pool = ForkJoinPool::new(3);
+    let pool = Arc::new(ForkJoinPool::new(3));
     let p = plist(243); // 3^5: pure 3-way tree
     let f = NWayReduce::new(3, |a: &i64, b: &i64| a + b);
     let expected: i64 = p.iter().sum();
     assert_eq!(compute_plist_sequential(&f, &p), expected);
     for leaf in [1usize, 9, 81, 300] {
-        assert_eq!(
-            compute_plist_parallel(&pool, &f, &p, leaf),
-            expected,
-            "leaf={leaf}"
-        );
+        assert_eq!(plist_par(&pool, &f, &p, leaf), expected, "leaf={leaf}");
     }
 }
 
@@ -156,29 +174,29 @@ fn one_way_decomposition_is_the_identity() {
 /// one sequential leaf — and the answers still agree with the spec.
 #[test]
 fn singleton_plist_through_the_nway_stack() {
-    let pool = ForkJoinPool::new(2);
+    let pool = Arc::new(ForkJoinPool::new(2));
     let p = PList::from_vec(vec![17i64]).unwrap();
     for arity in [2usize, 3, 7] {
         for (label, got) in [
             (
                 "tie",
-                collect_nway_par(
-                    &pool,
+                try_collect_nway(
                     NTieSpliterator::over(p.clone()),
-                    Arc::new(PListCollector::new(NWayDecomposition::Tie)),
+                    PListCollector::new(NWayDecomposition::Tie),
                     arity,
-                    1,
-                ),
+                    &par(&pool, 1),
+                )
+                .unwrap(),
             ),
             (
                 "zip",
-                collect_nway_par(
-                    &pool,
+                try_collect_nway(
                     NZipSpliterator::over(p.clone()),
-                    Arc::new(PListCollector::new(NWayDecomposition::Zip)),
+                    PListCollector::new(NWayDecomposition::Zip),
                     arity,
-                    1,
-                ),
+                    &par(&pool, 1),
+                )
+                .unwrap(),
             ),
         ] {
             assert_eq!(got, p, "{label} singleton arity={arity}");
@@ -186,7 +204,7 @@ fn singleton_plist_through_the_nway_stack() {
     }
     let f = NWayReduce::new(3, |a: &i64, b: &i64| a + b);
     assert_eq!(compute_plist_sequential(&f, &p), 17);
-    assert_eq!(compute_plist_parallel(&pool, &f, &p, 1), 17);
+    assert_eq!(plist_par(&pool, &f, &p, 1), 17);
 }
 
 /// Arity larger than the list: a length-4 list asked for 8-way
@@ -194,27 +212,27 @@ fn singleton_plist_through_the_nway_stack() {
 /// (splits degrade to whatever the length supports).
 #[test]
 fn arity_exceeding_length_still_collects() {
-    let pool = ForkJoinPool::new(2);
+    let pool = Arc::new(ForkJoinPool::new(2));
     let p = plist(4);
     for (label, decomp) in [
         ("tie", NWayDecomposition::Tie),
         ("zip", NWayDecomposition::Zip),
     ] {
         let got = match decomp {
-            NWayDecomposition::Tie => collect_nway_par(
-                &pool,
+            NWayDecomposition::Tie => try_collect_nway(
                 NTieSpliterator::over(p.clone()),
-                Arc::new(PListCollector::new(decomp)),
+                PListCollector::new(decomp),
                 8,
-                1,
-            ),
-            NWayDecomposition::Zip => collect_nway_par(
-                &pool,
+                &par(&pool, 1),
+            )
+            .unwrap(),
+            NWayDecomposition::Zip => try_collect_nway(
                 NZipSpliterator::over(p.clone()),
-                Arc::new(PListCollector::new(decomp)),
+                PListCollector::new(decomp),
                 8,
-                1,
-            ),
+                &par(&pool, 1),
+            )
+            .unwrap(),
         };
         assert_eq!(got, p, "{label} arity 8 over length 4");
     }

@@ -18,14 +18,15 @@
 //! zero-copy kernels against the exact per-element semantics they
 //! replaced, on the same random input.
 
-use jplf::{Decomp, Executor, ForkJoinExecutor, MpiExecutor, SequentialExecutor};
+use jplf::{Decomp, Executor, ForkJoinExecutor, MpiExecutor, PListFunction, SequentialExecutor};
 use jstreams::{
-    stream_support, AdaptiveSplit, Characteristics, Decomposition, ExecConfig, FusePipe,
-    HookedZipSpliterator, IdentityStage, ItemSource, JoiningCollector, LeafAccess,
-    PowerListCollector, PowerMapCollector, PowerSpliterator, ReduceCollector, SliceSpliterator,
-    SplitPolicy, Spliterator, TieSpliterator, VecCollector, ZipSpliterator,
+    stream_support, try_collect_nway, AdaptiveSplit, Characteristics, Decomposition, ExecConfig,
+    FusePipe, HookedZipSpliterator, IdentityStage, ItemSource, JoiningCollector, LeafAccess,
+    NTieSpliterator, NWayCollector, PowerListCollector, PowerMapCollector, PowerSpliterator,
+    ReduceCollector, SliceSpliterator, SplitPolicy, Spliterator, TieSpliterator, VecCollector,
+    ZipSpliterator,
 };
-use powerlist::{PowerList, PowerView};
+use powerlist::{PList, PowerList, PowerView};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -1589,15 +1590,16 @@ fn singleton_powerlist_never_splits() {
 }
 
 // ---------------------------------------------------------------------
-// One split-tree walker: every binary fork-join terminal (splice and
-// placement collect, streams search, the JPLF executor and its search)
-// runs on `jstreams::walk`, so they share one tree shape and one failure
-// contract.
+// One split-tree walker: every fork-join terminal (splice and placement
+// collect, streams search, the JPLF executor and its search, and the
+// n-ary n-way collect and PList executor) runs on `jstreams::walk`, so
+// they share one tree shape and one failure contract.
 // ---------------------------------------------------------------------
 
 /// Under `Fixed(leaf)` on one pool, the splice `reduce`, the placement
-/// `to_vec`, an absent-needle `any_match` and the JPLF fork-join
-/// executor cut the same tree over the same length. Search first scans
+/// `to_vec`, an absent-needle `any_match`, the JPLF fork-join executor,
+/// and, at arity 2, the n-way collect and the PList executor cut the
+/// same tree over the same length. Search first scans
 /// a 1024-element prefix inline (one cloning-drain leaf) and walks the
 /// rest: at `n = 8 · leaf` the remaining 7/8 cut the same tree.
 #[test]
@@ -1627,17 +1629,35 @@ fn every_walker_terminal_records_the_same_tree() {
         )
     });
     assert_eq!(out.unwrap(), sum);
+    let plist = PList::from(list.clone());
+    let (out, nway) = plobs::recorded(|| {
+        try_collect_nway(
+            NTieSpliterator::over(plist.clone()),
+            PoisonNWaySum(-1),
+            2,
+            &cfg,
+        )
+    });
+    assert_eq!(out.unwrap(), sum);
+    let (out, plist_fn) = plobs::recorded(|| {
+        exec.try_execute_plist(&PoisonPListSum(-1, 2), &plist, &jplf::ExecConfig::par())
+    });
+    assert_eq!(out.unwrap(), sum);
 
     assert_eq!(search.routes.cloning_drain.leaves, 1, "the root probe");
     assert_eq!(search.routes.cloning_drain.items, 1024);
     assert_eq!(place.combines_placement, place.splits);
     assert_eq!(splice.combines, splice.splits);
+    assert_eq!(nway.combines, nway.splits);
+    assert_eq!(plist_fn.combines, plist_fn.splits);
     assert_eq!(search.combines, 0, "search has no combine phase");
     let trees = [
         ("splice reduce", &splice, splice.routes.total_leaves()),
         ("placement to_vec", &place, place.routes.total_leaves()),
         ("any_match", &search, search.routes.total_leaves() - 1),
         ("jplf forkjoin", &jplf, jplf.routes.total_leaves()),
+        ("nway collect", &nway, nway.routes.total_leaves()),
+        ("jplf plist", &plist_fn, plist_fn.routes.total_leaves()),
     ];
     for (name, report, leaves) in trees {
         assert_eq!(report.splits, 7, "{name}: {report:?}");
@@ -1658,6 +1678,53 @@ impl jplf::PowerSearchFunction for PoisonSearch {
     }
 }
 
+/// n-way sum collector whose accumulator panics on one poison value.
+struct PoisonNWaySum(i64);
+
+impl NWayCollector<i64> for PoisonNWaySum {
+    type Acc = i64;
+    type Out = i64;
+    fn supplier(&self) -> i64 {
+        0
+    }
+    fn accumulate(&self, acc: &mut i64, item: i64) {
+        assert!(item != self.0, "route poison {item}");
+        *acc += item;
+    }
+    fn combine_n(&self, parts: Vec<i64>) -> i64 {
+        parts.into_iter().sum()
+    }
+    fn finish(&self, acc: i64) -> i64 {
+        acc
+    }
+}
+
+/// PList sum at a fixed arity whose basic case panics on one poison
+/// value: `PoisonPListSum(poison, arity)`.
+#[derive(Clone)]
+struct PoisonPListSum(i64, usize);
+
+impl PListFunction for PoisonPListSum {
+    type Elem = i64;
+    type Out = i64;
+    fn arity(&self, _len: usize) -> usize {
+        self.1
+    }
+    fn decomposition(&self) -> Decomp {
+        Decomp::Tie
+    }
+    fn basic_case(&self, v: &i64) -> i64 {
+        assert!(*v != self.0, "route poison {v}");
+        *v
+    }
+    fn create_child(&self, _index: usize, _arity: usize) -> Self {
+        self.clone()
+    }
+    fn combine_n(&self, parts: Vec<i64>) -> i64 {
+        parts.into_iter().sum()
+    }
+}
+
 /// One walker terminal over `list`: `cfg` carries the session limits
 /// (and, for streams, the pool); JPLF terminals run on an executor over
 /// the same pool. User code panics on the element equal to `poison`.
@@ -1668,7 +1735,7 @@ type WalkerTerminal = fn(
     i64,
 ) -> Result<i64, jstreams::ExecError>;
 
-const WALKER_TERMINALS: [(&str, WalkerTerminal); 5] = [
+const WALKER_TERMINALS: [(&str, WalkerTerminal); 7] = [
     ("splice collect", |list, _, cfg, poison| {
         stream_support(TieSpliterator::over(list.clone()), true)
             .try_collect(PoisonReduce(poison), cfg)
@@ -1705,6 +1772,17 @@ const WALKER_TERMINALS: [(&str, WalkerTerminal); 5] = [
         ForkJoinExecutor::with_pool(Arc::clone(pool), 64)
             .try_any_match(&PoisonSearch(poison), &list.clone().view(), cfg)
             .map(i64::from)
+    }),
+    ("nway collect", |list, _, cfg, poison| {
+        let plist = PList::from(list.clone());
+        try_collect_nway(NTieSpliterator::over(plist), PoisonNWaySum(poison), 4, cfg)
+    }),
+    ("jplf plist", |list, pool, cfg, poison| {
+        ForkJoinExecutor::with_pool(Arc::clone(pool), 64).try_execute_plist(
+            &PoisonPListSum(poison, 4),
+            &PList::from(list.clone()),
+            cfg,
+        )
     }),
 ];
 
