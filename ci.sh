@@ -129,6 +129,21 @@ if grep -rnE 'demand_split\(|try_install\(|(^|[^.[:alnum:]_])join\(' \
     exit 1
 fi
 
+echo "==> structural: one borrowed-run shape"
+# A borrowed leaf is the paper's (list, start, end, incr) descriptor:
+# `LeafAccess::try_as_strided` and `Collector::leaf_strided` are its one
+# accessor and one kernel, a contiguous run is step 1, and plobs reports
+# one `zero_copy` route. A contiguous twin (or the dead peek adapter)
+# coming back fails here.
+BORROW_DIRS=$(ls -d crates/*/src crates/*/tests crates/*/examples crates/*/benches \
+    src tests examples 2>/dev/null)
+# shellcheck disable=SC2086 # word splitting of the directory list is intended
+if grep -rnE --include='*.rs' \
+    'leaf_slice|try_as_slice|ZeroCopySlice|zero_copy_slice|PeekSpliterator' $BORROW_DIRS; then
+    echo "contiguous-run twin (leaf_slice / try_as_slice / ZeroCopySlice) or PeekSpliterator is back" >&2
+    exit 1
+fi
+
 echo "==> smoke: streambench runs every workload and its compare tool"
 # streambench is its own workspace (BENCHMARK.json's command builds it
 # from streambench/Cargo.toml), so the root `cargo test` never reaches

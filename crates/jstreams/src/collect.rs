@@ -73,11 +73,12 @@ impl<T> ItemSource<T> for CountingSource<'_, T> {
 }
 
 /// Runs one leaf through the zero-copy path when both sides support it:
-/// if the source exposes a borrowed run
+/// if the source exposes a borrowed strided run
 /// ([`LeafAccess`](crate::spliterator::LeafAccess)) *and* the
-/// collector has a matching slice kernel, the leaf is computed directly
-/// over the borrow and the source marked drained; failing that, a fused
-/// adapter pipeline may take the fused-borrow route
+/// collector has a matching kernel ([`Collector::leaf_strided`]), the
+/// leaf is computed directly over the borrow and the source marked
+/// drained; failing that, a fused adapter pipeline may take the
+/// fused-borrow route
 /// ([`LeafAccess::fused_leaf`](crate::spliterator::LeafAccess::fused_leaf)),
 /// driving its chain over the *underlying* source's borrow; otherwise
 /// the cloning drain ([`Collector::leaf`]) runs as before.
@@ -92,31 +93,14 @@ where
 {
     let observe = plobs::enabled();
     let start = if observe { Some(Instant::now()) } else { None };
-    let done = match source.try_as_strided() {
-        // A step-1 run is contiguous: prefer the slice kernel, but a
-        // strided-only collector must still get the zero-copy path —
-        // `leaf_strided(items, 1)` covers exactly the same elements.
-        Some((items, 1)) => {
-            let n = items.len() as u64;
-            collector
-                .leaf_slice(items)
-                .map(|acc| (acc, LeafRoute::ZeroCopySlice, n))
-                .or_else(|| {
-                    collector
-                        .leaf_strided(items, 1)
-                        .map(|acc| (acc, LeafRoute::ZeroCopyStrided, n))
-                })
-        }
-        Some((items, step)) => {
-            // Strided-run contract: the last element of `items` is
-            // covered, so the leaf spans ceil(len / step) elements.
-            let n = items.len().div_ceil(step) as u64;
-            collector
-                .leaf_strided(items, step)
-                .map(|acc| (acc, LeafRoute::ZeroCopyStrided, n))
-        }
-        None => None,
-    };
+    let done = source.try_as_strided().and_then(|(items, step)| {
+        // Strided-run contract: the last element of `items` is covered,
+        // so the leaf spans ceil(len / step) elements.
+        let n = items.len().div_ceil(step) as u64;
+        collector
+            .leaf_strided(items, step)
+            .map(|acc| (acc, LeafRoute::ZeroCopy, n))
+    });
     // Fused-borrow route: a fused adapter pipeline exposes no borrowed
     // run of *transformed* elements, but can drive its chain over the
     // underlying source's borrow; `n` counts what reached the

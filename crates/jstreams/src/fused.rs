@@ -33,7 +33,7 @@ use crate::collector::Collector;
 use crate::power::PowerSpliterator;
 use crate::spliterator::{ItemSource, LeafAccess, SliceSpliterator, Spliterator};
 use crate::tie::TieSpliterator;
-use crate::truncate::{LimitSpliterator, PeekSpliterator, SkipSpliterator};
+use crate::truncate::{LimitSpliterator, SkipSpliterator};
 use crate::zip::{HookedZipSpliterator, ZipSpliterator};
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -322,8 +322,8 @@ where
     K: FusedStage<B, U>,
 {
     // No borrowed run of *transformed* elements exists, so
-    // `try_as_slice`/`try_as_strided` keep their `None` defaults; the
-    // fused route below borrows the source's run instead.
+    // `try_as_strided` keeps its `None` default; the fused route below
+    // borrows the source's run instead.
 
     fn mark_drained(&mut self) {
         self.source.mark_drained();
@@ -571,21 +571,6 @@ where
     }
 }
 
-impl<T, S, F> FusePipe<T> for PeekSpliterator<S, F>
-where
-    T: Clone + Send + 'static,
-    S: Spliterator<T> + 'static,
-    F: Fn(&T) + Send + Sync + 'static,
-{
-    type Base = T;
-    type Src = Self;
-    type Chain = IdentityStage;
-
-    fn decompose(self) -> (Self, IdentityStage) {
-        (self, IdentityStage)
-    }
-}
-
 // The chain-extending case: a fused pipeline decomposes into its own
 // parts, so the next `map`/`filter` call composes one longer chain over
 // the same untouched source.
@@ -610,6 +595,7 @@ mod tests {
     use crate::collector::{ReduceCollector, VecCollector};
     use crate::spliterator::SliceSpliterator;
     use powerlist::tabulate;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn drain<T, S: ItemSource<T>>(s: &mut S) -> Vec<T> {
         let mut out = vec![];
@@ -635,6 +621,21 @@ mod tests {
         let mut prefix = s.try_split().expect("splittable");
         assert_eq!(drain(&mut prefix), vec![10, 20]);
         assert_eq!(drain(&mut s), vec![30, 40]);
+    }
+
+    #[test]
+    fn peek_observes_everything() {
+        let seen = Arc::new(AtomicUsize::new(0));
+        let s2 = Arc::clone(&seen);
+        let mut s = FusedSpliterator::new(
+            SliceSpliterator::new((0..9i64).collect::<Vec<_>>()),
+            InspectStage::new(IdentityStage, move |_: &i64| {
+                s2.fetch_add(1, Ordering::Relaxed);
+            }),
+        );
+        let out = drain(&mut s);
+        assert_eq!(out.len(), 9);
+        assert_eq!(seen.load(Ordering::Relaxed), 9);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!   paper's `trySplit`;
 //! * the leaf phase runs the collector's supplier + accumulator (or an
 //!   overridden [`Collector::leaf`] kernel). When the leaf's spliterator
-//!   exposes its remaining elements as a borrowed run ([`LeafAccess`])
-//!   and the collector provides a matching slice kernel
-//!   ([`Collector::leaf_slice`] / [`Collector::leaf_strided`]), the
+//!   exposes its remaining elements as a borrowed strided run
+//!   ([`LeafAccess`]; contiguous when the step is 1) and the collector
+//!   provides a matching kernel ([`Collector::leaf_strided`]), the
 //!   driver runs the leaf **zero-copy** over that borrow — no
 //!   per-element callback dispatch and no clones;
 //! * the combining phase runs the combiner — for PowerList results,
@@ -93,7 +93,7 @@ pub use spliterator::{
 };
 pub use stream::{stream_support, Stream};
 pub use tie::TieSpliterator;
-pub use truncate::{LimitSpliterator, PeekSpliterator, SkipSpliterator};
+pub use truncate::{LimitSpliterator, SkipSpliterator};
 pub use zip::{HookedZipSpliterator, ZipSpliterator};
 
 /// Serialises unit tests around the process-global `plobs` sink: a test

@@ -66,13 +66,6 @@ impl<T: Clone> ItemSource<T> for PowerSpliterator<T> {
 }
 
 impl<T> LeafAccess<T> for PowerSpliterator<T> {
-    fn try_as_slice(&self) -> Option<&[T]> {
-        match self {
-            PowerSpliterator::Tie(s) => s.try_as_slice(),
-            PowerSpliterator::Zip(s) => s.try_as_slice(),
-        }
-    }
-
     fn try_as_strided(&self) -> Option<(&[T], usize)> {
         match self {
             PowerSpliterator::Tie(s) => s.try_as_strided(),
@@ -202,14 +195,13 @@ impl<T: Clone + Send + 'static> Collector<T> for PowerListCollector {
         acc
     }
 
-    fn leaf_slice(&self, items: &[T]) -> Option<PowerArray<T>> {
-        Some(PowerArray::from(items.to_vec()))
-    }
-
+    // A contiguous run copies in one `to_vec`.
     fn leaf_strided(&self, items: &[T], step: usize) -> Option<PowerArray<T>> {
-        Some(PowerArray::from(
-            items.iter().step_by(step).cloned().collect::<Vec<T>>(),
-        ))
+        Some(PowerArray::from(if step == 1 {
+            items.to_vec()
+        } else {
+            items.iter().step_by(step).cloned().collect()
+        }))
     }
 
     // The window rule mirrors the *combine algebra*, not the split
@@ -283,23 +275,15 @@ where
         acc
     }
 
-    fn leaf_slice(&self, items: &[T]) -> Option<PowerArray<U>> {
-        Some(PowerArray::from(
-            items
-                .iter()
-                .map(|x| (self.f)(x.clone()))
-                .collect::<Vec<U>>(),
-        ))
-    }
-
+    // A contiguous run maps off the plain slice iterator, which runs
+    // faster than `step_by(1)`.
     fn leaf_strided(&self, items: &[T], step: usize) -> Option<PowerArray<U>> {
-        Some(PowerArray::from(
-            items
-                .iter()
-                .step_by(step)
-                .map(|x| (self.f)(x.clone()))
-                .collect::<Vec<U>>(),
-        ))
+        let f = |x: &T| (self.f)(x.clone());
+        Some(PowerArray::from(if step == 1 {
+            items.iter().map(f).collect::<Vec<U>>()
+        } else {
+            items.iter().step_by(step).map(f).collect()
+        }))
     }
 }
 

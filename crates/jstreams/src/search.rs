@@ -415,16 +415,11 @@ fn search_leaf<T, S, P, K>(
             }
             (scanned, hit)
         };
-        let route = if step == 1 {
-            LeafRoute::ZeroCopySlice
-        } else {
-            LeafRoute::ZeroCopyStrided
-        };
         match hit {
             Some(local) => record(local, &items[local * step]),
             None => source.mark_drained(),
         }
-        (route, scanned)
+        (LeafRoute::ZeroCopy, scanned)
     } else {
         let mut delivered = 0usize;
         // fused_search leaves a fully-scanned source drained itself.

@@ -50,29 +50,24 @@ pub trait ItemSource<T> {
 /// per-element callbacks.
 ///
 /// This is the zero-copy half of the leaf-phase contract (the other half
-/// is [`Collector::leaf_slice`](crate::Collector::leaf_slice) /
-/// [`Collector::leaf_strided`](crate::Collector::leaf_strided)): when a
-/// source can expose its remaining elements as a slice of backing
-/// storage, the driver hands that slice to the collector's slice kernel
-/// and then calls [`LeafAccess::mark_drained`], skipping the cloning
-/// drain entirely. All methods have defaults that advertise no borrowed
-/// access, so adapter spliterators that transform or truncate elements
-/// (map, filter, limit, skip, peek) opt out with an empty `impl`.
+/// is [`Collector::leaf_strided`](crate::Collector::leaf_strided)): when
+/// a source can expose its remaining elements as a strided run of
+/// backing storage — the paper's `(list, start, end, incr)` leaf
+/// descriptor, contiguous when `incr == 1` — the driver hands that run
+/// to the collector's kernel and then calls [`LeafAccess::mark_drained`],
+/// skipping the cloning drain entirely. All methods have defaults that
+/// advertise no borrowed access, so adapter spliterators that transform
+/// or truncate elements (map, filter, limit, skip) opt out with an empty
+/// `impl`.
 pub trait LeafAccess<T> {
-    /// The remaining elements as one contiguous borrowed run, or `None`
-    /// when the source is not contiguous (e.g. a zip-split residue class
-    /// with stride > 1) or cannot expose storage at all.
-    fn try_as_slice(&self) -> Option<&[T]> {
-        None
-    }
-
     /// The remaining elements as a borrowed strided run `(items, step)`:
     /// the elements are `items[0], items[step], items[2*step], …` up to
     /// the end of `items`, whose last element is always included
-    /// (`items.len() % step == 1` for `step > 1`). The default derives
-    /// the contiguous case from [`LeafAccess::try_as_slice`].
+    /// (`items.len() % step == 1` for `step > 1`). A contiguous run is
+    /// `step == 1`. `None` (the default) when the source cannot expose
+    /// storage at all.
     fn try_as_strided(&self) -> Option<(&[T], usize)> {
-        self.try_as_slice().map(|s| (s, 1))
+        None
     }
 
     /// Declares the remaining elements consumed after a borrowed-leaf
@@ -317,8 +312,8 @@ impl<T: Clone> ItemSource<T> for SliceSpliterator<T> {
 }
 
 impl<T> LeafAccess<T> for SliceSpliterator<T> {
-    fn try_as_slice(&self) -> Option<&[T]> {
-        Some(&self.data[self.lo..self.hi])
+    fn try_as_strided(&self) -> Option<(&[T], usize)> {
+        Some((&self.data[self.lo..self.hi], 1))
     }
 
     fn mark_drained(&mut self) {

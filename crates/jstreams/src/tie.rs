@@ -129,18 +129,8 @@ impl<T: Clone> ItemSource<T> for TieSpliterator<T> {
 
 impl<T> LeafAccess<T> for TieSpliterator<T> {
     // A tie run over a stride-1 view is a contiguous slab of the shared
-    // storage; strided views (built from an unzipped PowerView) still
-    // expose the borrowed strided form.
-    fn try_as_slice(&self) -> Option<&[T]> {
-        if self.exhausted {
-            Some(&[])
-        } else if self.incr == 1 {
-            Some(&self.storage.as_slice()[self.start..=self.end])
-        } else {
-            None
-        }
-    }
-
+    // storage (`step == 1`); strided views (built from an unzipped
+    // PowerView) keep their stride.
     fn try_as_strided(&self) -> Option<(&[T], usize)> {
         if self.exhausted {
             Some((&[], 1))

@@ -1,6 +1,7 @@
-//! Truncating and observing adapters: `limit`, `skip`, `peek`.
+//! Truncating adapters: `limit` and `skip`.
 //!
-//! These complete the familiar Java stream surface. Both truncations
+//! These complete the familiar Java stream surface (`peek` is a fused
+//! [`InspectStage`](crate::fused::InspectStage)). Both truncations
 //! exploit `SIZED`/`SUBSIZED` sources (all PowerList spliterators are):
 //! when the pipeline splits, the prefix — which precedes the suffix in
 //! encounter order — absorbs as much of the `skip` and receives as much
@@ -15,7 +16,6 @@
 
 use crate::characteristics::Characteristics;
 use crate::spliterator::{ItemSource, LeafAccess, Spliterator};
-use std::sync::Arc;
 
 /// Truncates a source to its first `limit` elements (encounter order).
 pub struct LimitSpliterator<S> {
@@ -178,84 +178,12 @@ impl<T, S: Spliterator<T>> Spliterator<T> for SkipSpliterator<S> {
     }
 }
 
-/// Runs an observer on every element as it flows past (Java's `peek`).
-pub struct PeekSpliterator<S, F> {
-    inner: S,
-    observer: Arc<F>,
-}
-
-impl<S, F> PeekSpliterator<S, F> {
-    /// Observes elements of `inner` with `observer`.
-    pub fn new(inner: S, observer: Arc<F>) -> Self {
-        PeekSpliterator { inner, observer }
-    }
-}
-
-impl<T, S, F> ItemSource<T> for PeekSpliterator<S, F>
-where
-    S: ItemSource<T>,
-    T: Clone,
-    F: Fn(&T),
-{
-    fn try_advance(&mut self, action: &mut dyn FnMut(T)) -> bool {
-        let obs = &self.observer;
-        self.inner.try_advance(&mut |x| {
-            obs(&x);
-            action(x);
-        })
-    }
-
-    fn for_each_remaining(&mut self, action: &mut dyn FnMut(T)) {
-        let obs = &self.observer;
-        self.inner.for_each_remaining(&mut |x| {
-            obs(&x);
-            action(x);
-        })
-    }
-
-    fn estimate_size(&self) -> usize {
-        self.inner.estimate_size()
-    }
-}
-
-// A borrowed-run leaf would bypass the observer, so peek opts out.
-impl<T, S, F> LeafAccess<T> for PeekSpliterator<S, F> {}
-
-impl<T, S, F> Spliterator<T> for PeekSpliterator<S, F>
-where
-    S: Spliterator<T>,
-    T: Clone,
-    F: Fn(&T) + Send + Sync,
-{
-    fn try_split(&mut self) -> Option<Self> {
-        let prefix = self.inner.try_split()?;
-        Some(PeekSpliterator {
-            inner: prefix,
-            observer: Arc::clone(&self.observer),
-        })
-    }
-
-    fn characteristics(&self) -> Characteristics {
-        self.inner.characteristics()
-    }
-
-    // Observation changes nothing structural: forward both queries.
-    fn prefix_splits(&self) -> bool {
-        self.inner.prefix_splits()
-    }
-
-    fn encounter_rank(&self) -> Option<(usize, usize)> {
-        self.inner.encounter_rank()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spliterator::SliceSpliterator;
     use crate::tie::TieSpliterator;
     use powerlist::tabulate;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn drain<T, S: ItemSource<T>>(s: &mut S) -> Vec<T> {
         let mut out = vec![];
@@ -406,21 +334,5 @@ mod tests {
         assert!(s.try_split().is_none());
         let mut s = LimitSpliterator::new(Opaque(SliceSpliterator::new((0..10).collect())), 8);
         assert!(s.try_split().is_none());
-    }
-
-    #[test]
-    fn peek_observes_everything() {
-        let _serial = crate::test_serial::shared();
-        let seen = Arc::new(AtomicUsize::new(0));
-        let s2 = Arc::clone(&seen);
-        let mut s = PeekSpliterator::new(
-            SliceSpliterator::new((0..9i64).collect::<Vec<_>>()),
-            Arc::new(move |_: &i64| {
-                s2.fetch_add(1, Ordering::Relaxed);
-            }),
-        );
-        let out = drain(&mut s);
-        assert_eq!(out.len(), 9);
-        assert_eq!(seen.load(Ordering::Relaxed), 9);
     }
 }

@@ -144,20 +144,10 @@ impl<T: Clone> ItemSource<T> for ZipSpliterator<T> {
 }
 
 impl<T> LeafAccess<T> for ZipSpliterator<T> {
-    // Before any split the run is contiguous; after zip splits each
-    // residue class has stride > 1, where only the strided borrow exists
-    // (`try_as_slice` must return `None` — the combiner-facing contract
-    // the edge-case tests pin down).
-    fn try_as_slice(&self) -> Option<&[T]> {
-        if self.exhausted {
-            Some(&[])
-        } else if self.incr == 1 {
-            Some(&self.storage.as_slice()[self.start..=self.end])
-        } else {
-            None
-        }
-    }
-
+    // Before any split the run is contiguous (`step == 1`); after zip
+    // splits each residue class has stride > 1, and the borrow must
+    // carry it — storage order is not residue order (the contract the
+    // edge-case tests pin down).
     fn try_as_strided(&self) -> Option<(&[T], usize)> {
         if self.exhausted {
             Some((&[], 1))
@@ -285,10 +275,6 @@ impl<T: Clone, L> ItemSource<T> for HookedZipSpliterator<T, L> {
 }
 
 impl<T, L> LeafAccess<T> for HookedZipSpliterator<T, L> {
-    fn try_as_slice(&self) -> Option<&[T]> {
-        self.base.try_as_slice()
-    }
-
     fn try_as_strided(&self) -> Option<(&[T], usize)> {
         self.base.try_as_strided()
     }

@@ -1,7 +1,8 @@
 //! Model-based tests for the truncation adapters.
 //!
 //! `limit`/`skip`/`peek` over Slice/Tie/Zip sources, split recursively
-//! at every leaf size, are compared against the obvious `Vec` model.
+//! at every leaf size, are compared against the obvious `Vec` model
+//! (`peek` is a fused `InspectStage`).
 //! This exercises the allowance bookkeeping in
 //! `LimitSpliterator::try_split` / `SkipSpliterator::try_split` at its
 //! edges: a limit smaller than the prefix, a skip spanning the split
@@ -10,8 +11,8 @@
 //! miscounted.
 
 use jstreams::{
-    Characteristics, FilterStage, FusedSpliterator, IdentityStage, ItemSource, LeafAccess,
-    LimitSpliterator, MapStage, PeekSpliterator, SkipSpliterator, SliceSpliterator, Spliterator,
+    Characteristics, FilterStage, FusedSpliterator, IdentityStage, InspectStage, ItemSource,
+    LeafAccess, LimitSpliterator, MapStage, SkipSpliterator, SliceSpliterator, Spliterator,
     TieSpliterator, VecCollector, ZipSpliterator,
 };
 use powerlist::tabulate;
@@ -339,9 +340,9 @@ fn peek_sees_exactly_the_emitted_elements() {
         for leaf in 1..=len {
             let seen = Arc::new(AtomicUsize::new(0));
             let s2 = Arc::clone(&seen);
-            let s = PeekSpliterator::new(
+            let s = FusedSpliterator::new(
                 SliceSpliterator::new((0..len as i64).collect()),
-                Arc::new(move |_: &i64| {
+                InspectStage::new(IdentityStage, move |_: &i64| {
                     s2.fetch_add(1, Ordering::Relaxed);
                 }),
             );
@@ -359,9 +360,9 @@ fn peek_inside_limit_observes_only_the_allowance() {
         seen.store(0, Ordering::Relaxed);
         let s2 = Arc::clone(&seen);
         let s = LimitSpliterator::new(
-            PeekSpliterator::new(
+            FusedSpliterator::new(
                 SliceSpliterator::new((0..100i64).collect()),
-                Arc::new(move |_: &i64| {
+                InspectStage::new(IdentityStage, move |_: &i64| {
                     s2.fetch_add(1, Ordering::Relaxed);
                 }),
             ),

@@ -189,10 +189,6 @@ impl Collector<Complex> for FftCollector {
     /// Zero-copy leaf: `fft_rec` already walks `(slice, stride, offset)`
     /// descriptors, so a borrowed residue class transforms in place —
     /// no materialisation of the leaf sub-list at all.
-    fn leaf_slice(&self, items: &[Complex]) -> Option<PowerArray<Complex>> {
-        self.leaf_strided(items, 1)
-    }
-
     fn leaf_strided(&self, items: &[Complex], step: usize) -> Option<PowerArray<Complex>> {
         if items.is_empty() {
             return Some(PowerArray::new());

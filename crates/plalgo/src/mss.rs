@@ -151,10 +151,6 @@ impl Collector<i64> for MssCollector {
 
     /// Zero-copy leaf: extend the homomorphic state directly over the
     /// borrowed run.
-    fn leaf_slice(&self, items: &[i64]) -> Option<Option<MssState>> {
-        self.leaf_strided(items, 1)
-    }
-
     fn leaf_strided(&self, items: &[i64], step: usize) -> Option<Option<MssState>> {
         let mut acc: Option<MssState> = None;
         for &v in items.iter().step_by(step) {

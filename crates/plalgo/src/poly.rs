@@ -341,12 +341,8 @@ impl Collector<f64> for PolynomialCollector {
     }
 
     /// Zero-copy leaf: the same ascending accumulation in `y = x^stride`,
-    /// run directly over the borrowed coefficient run — a zip-split
-    /// residue class arrives as the strided form.
-    fn leaf_slice(&self, items: &[f64]) -> Option<PolyAcc> {
-        self.leaf_strided(items, 1)
-    }
-
+    /// run directly over the borrowed coefficient run.
+    ///
     /// The leaf's stride is its run's own `step`, not the shared
     /// degree: an uneven tree (an adaptive or tuned policy) has leaves
     /// at different depths, and only the deepest reaches the shared
@@ -479,10 +475,6 @@ impl Collector<f64> for TupledVpCollector {
 
     /// Zero-copy leaf: evaluate the block and its total power in one
     /// pass over the borrowed run.
-    fn leaf_slice(&self, items: &[f64]) -> Option<(f64, f64)> {
-        self.leaf_strided(items, 1)
-    }
-
     fn leaf_strided(&self, items: &[f64], step: usize) -> Option<(f64, f64)> {
         Some(power_sum(items, step, self.x))
     }

@@ -70,10 +70,10 @@ fn main() {
         }
     }
 
-    time("ReduceCollector::leaf_slice direct", || {
+    time("ReduceCollector::leaf_strided(.., 1) direct", || {
         use jstreams::Collector;
         let c = jstreams::ReduceCollector::new(0i64, |a, b| a + b);
-        let s = c.leaf_slice(data.as_slice()).unwrap();
+        let s = c.leaf_strided(data.as_slice(), 1).unwrap();
         black_box(s);
     });
 

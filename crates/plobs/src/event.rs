@@ -9,10 +9,9 @@
 /// Which leaf kernel the collect driver dispatched to for one leaf.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LeafRoute {
-    /// `Collector::leaf_slice` over a contiguous borrowed run.
-    ZeroCopySlice,
-    /// `Collector::leaf_strided` over a borrowed strided run.
-    ZeroCopyStrided,
+    /// `Collector::leaf_strided` over a borrowed strided run
+    /// (contiguous when its step is 1).
+    ZeroCopy,
     /// A fused adapter chain (map/filter/inspect stages) driven
     /// push-style over the *source's* borrowed run into the collector's
     /// accumulator — zero-copy traversal through adapters.
@@ -33,8 +32,7 @@ impl LeafRoute {
     /// Stable lowercase name, used as the JSON key for the route.
     pub fn name(self) -> &'static str {
         match self {
-            LeafRoute::ZeroCopySlice => "zero_copy_slice",
-            LeafRoute::ZeroCopyStrided => "zero_copy_strided",
+            LeafRoute::ZeroCopy => "zero_copy",
             LeafRoute::FusedBorrow => "fused_borrow",
             LeafRoute::CloningDrain => "cloning_drain",
             LeafRoute::Template => "template",

@@ -37,15 +37,15 @@
 //!
 //! let (value, report) = recorded(|| {
 //!     plobs::emit(Event::Split { depth: 0, adaptive: false });
-//!     plobs::emit(Event::Leaf { route: LeafRoute::ZeroCopySlice, items: 8, ns: 120 });
-//!     plobs::emit(Event::Leaf { route: LeafRoute::ZeroCopySlice, items: 8, ns: 110 });
+//!     plobs::emit(Event::Leaf { route: LeafRoute::ZeroCopy, items: 8, ns: 120 });
+//!     plobs::emit(Event::Leaf { route: LeafRoute::ZeroCopy, items: 8, ns: 110 });
 //!     plobs::emit(Event::Combine { depth: 0, ns: 40, placement: false });
 //!     42
 //! });
 //! assert_eq!(value, 42);
 //! assert_eq!(report.splits, 1);
-//! assert_eq!(report.routes.zero_copy_slice.leaves, 2);
-//! assert_eq!(report.routes.zero_copy_slice.items, 16);
+//! assert_eq!(report.routes.zero_copy.leaves, 2);
+//! assert_eq!(report.routes.zero_copy.items, 16);
 //! assert!(plobs::json::validate(&report.to_json()).is_ok());
 //! ```
 

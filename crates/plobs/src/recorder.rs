@@ -42,8 +42,8 @@ struct Shard {
     split_depths: [AtomicU64; MAX_DEPTH],
     descend_ns: AtomicU64,
     // Indexed by `route_index` (6 routes).
-    route_leaves: [AtomicU64; 6],
-    route_items: [AtomicU64; 6],
+    route_leaves: [AtomicU64; 5],
+    route_items: [AtomicU64; 5],
     leaf_ns: AtomicU64,
     combines: AtomicU64,
     combines_placement: AtomicU64,
@@ -180,12 +180,11 @@ impl Shard {
 
 fn route_index(route: LeafRoute) -> usize {
     match route {
-        LeafRoute::ZeroCopySlice => 0,
-        LeafRoute::ZeroCopyStrided => 1,
-        LeafRoute::FusedBorrow => 2,
-        LeafRoute::CloningDrain => 3,
-        LeafRoute::Template => 4,
-        LeafRoute::Placement => 5,
+        LeafRoute::ZeroCopy => 0,
+        LeafRoute::FusedBorrow => 1,
+        LeafRoute::CloningDrain => 2,
+        LeafRoute::Template => 3,
+        LeafRoute::Placement => 4,
     }
 }
 
@@ -273,7 +272,7 @@ impl RunRecorder {
         let mut send_bytes = [0u64; MAX_RANKS];
         let mut recvs = [0u64; MAX_RANKS];
         let mut recv_bytes = [0u64; MAX_RANKS];
-        let mut routes = [RouteStats::default(); 6];
+        let mut routes = [RouteStats::default(); 5];
 
         for shard in shards.iter() {
             report.splits += shard.splits.load(Relaxed);
@@ -334,12 +333,11 @@ impl RunRecorder {
         }
 
         report.split_depths = trimmed(&split_depths);
-        report.routes.zero_copy_slice = routes[0];
-        report.routes.zero_copy_strided = routes[1];
-        report.routes.fused_borrow = routes[2];
-        report.routes.cloning_drain = routes[3];
-        report.routes.template = routes[4];
-        report.routes.placement = routes[5];
+        report.routes.zero_copy = routes[0];
+        report.routes.fused_borrow = routes[1];
+        report.routes.cloning_drain = routes[2];
+        report.routes.template = routes[3];
+        report.routes.placement = routes[4];
         report.executed = executed.iter().sum();
 
         let used_workers = last_active(&[&executed, &injector_steals, &peer_steals, &parks]);

@@ -14,10 +14,8 @@ pub struct RouteStats {
 /// Leaf counts broken down by [`LeafRoute`](crate::LeafRoute).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RouteHistogram {
-    /// Leaves served by `Collector::leaf_slice`.
-    pub zero_copy_slice: RouteStats,
-    /// Leaves served by `Collector::leaf_strided`.
-    pub zero_copy_strided: RouteStats,
+    /// Leaves served by `Collector::leaf_strided` over a borrowed run.
+    pub zero_copy: RouteStats,
     /// Leaves served by a fused adapter chain driven over the source's
     /// borrowed run.
     pub fused_borrow: RouteStats,
@@ -33,8 +31,7 @@ pub struct RouteHistogram {
 impl RouteHistogram {
     /// Total number of leaves across all routes.
     pub fn total_leaves(&self) -> u64 {
-        self.zero_copy_slice.leaves
-            + self.zero_copy_strided.leaves
+        self.zero_copy.leaves
             + self.fused_borrow.leaves
             + self.cloning_drain.leaves
             + self.template.leaves
@@ -43,8 +40,7 @@ impl RouteHistogram {
 
     /// Total items across all routes.
     pub fn total_items(&self) -> u64 {
-        self.zero_copy_slice.items
-            + self.zero_copy_strided.items
+        self.zero_copy.items
             + self.fused_borrow.items
             + self.cloning_drain.items
             + self.template.items
@@ -210,12 +206,13 @@ impl RunReport {
     }
 
     /// Renders the report as a self-describing JSON object (schema tag
-    /// `plobs.run_report.v2`; v2 added the `placement` route and
-    /// `combines_placement`). The output always passes
+    /// `plobs.run_report.v3`; v2 added the `placement` route and
+    /// `combines_placement`, v3 merged v2's contiguous and strided
+    /// zero-copy routes into one `zero_copy`). The output always passes
     /// [`crate::json::validate`].
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
-        out.push_str("{\"schema\":\"plobs.run_report.v2\",");
+        out.push_str("{\"schema\":\"plobs.run_report.v3\",");
 
         out.push_str("\"tree\":{");
         let _ = write!(
@@ -246,9 +243,7 @@ impl RunReport {
         );
 
         out.push_str("\"routes\":{");
-        push_route(&mut out, "zero_copy_slice", self.routes.zero_copy_slice);
-        out.push(',');
-        push_route(&mut out, "zero_copy_strided", self.routes.zero_copy_strided);
+        push_route(&mut out, "zero_copy", self.routes.zero_copy);
         out.push(',');
         push_route(&mut out, "fused_borrow", self.routes.fused_borrow);
         out.push(',');
@@ -365,9 +360,8 @@ impl RunReport {
         );
         let _ = writeln!(
             out,
-            "  routes: slice {} / strided {} / fused {} / cloned {} / template {} / placement {} (leaves)",
-            self.routes.zero_copy_slice.leaves,
-            self.routes.zero_copy_strided.leaves,
+            "  routes: zero-copy {} / fused {} / cloned {} / template {} / placement {} (leaves)",
+            self.routes.zero_copy.leaves,
             self.routes.fused_borrow.leaves,
             self.routes.cloning_drain.leaves,
             self.routes.template.leaves,
@@ -429,7 +423,7 @@ mod tests {
             split_depths: vec![1, 2, 4],
             descend_ns: 100,
             routes: RouteHistogram {
-                zero_copy_slice: RouteStats {
+                zero_copy: RouteStats {
                     leaves: 8,
                     items: 64,
                 },
@@ -517,10 +511,10 @@ mod tests {
         let r = sample();
         let json = r.to_json();
         crate::json::validate(&json).unwrap();
-        assert!(json.starts_with("{\"schema\":\"plobs.run_report.v2\""));
+        assert!(json.starts_with("{\"schema\":\"plobs.run_report.v3\""));
         assert!(json.contains("\"adaptive_splits\":3"));
         assert!(json.contains("\"split_depths\":[1,2,4]"));
-        assert!(json.contains("\"zero_copy_slice\":{\"leaves\":8,\"items\":64}"));
+        assert!(json.contains("\"zero_copy\":{\"leaves\":8,\"items\":64}"));
         assert!(json.contains("\"fused_borrow\":{\"leaves\":2,\"items\":16}"));
         assert!(json.contains("\"placement\":{\"leaves\":4,\"items\":32}"));
         assert!(json.contains("\"combines_placement\":3"));

@@ -7,7 +7,7 @@
 //! 2. the streams adaptation's **cloning** collect (per-element drain
 //!    through `Collector::accumulate`);
 //! 3. the streams adaptation's **zero-copy** collect (borrowed-leaf
-//!    kernels via `LeafAccess` + `Collector::leaf_slice`);
+//!    kernels via `LeafAccess` + `Collector::leaf_strided`);
 //! 4. the JPLF fork-join executor;
 //! 5. the simulated-MPI executor.
 //!
@@ -20,11 +20,11 @@
 
 use jplf::{Decomp, Executor, ForkJoinExecutor, MpiExecutor, PListFunction, SequentialExecutor};
 use jstreams::{
-    stream_support, try_collect_nway, AdaptiveSplit, Characteristics, Decomposition, ExecConfig,
-    FusePipe, HookedZipSpliterator, IdentityStage, ItemSource, JoiningCollector, LeafAccess,
-    NTieSpliterator, NWayCollector, PowerListCollector, PowerMapCollector, PowerSpliterator,
-    ReduceCollector, SliceSpliterator, SplitPolicy, Spliterator, TieSpliterator, VecCollector,
-    ZipSpliterator,
+    stream_support, try_collect_nway, AdaptiveSplit, Characteristics, CountCollector,
+    Decomposition, ExecConfig, ExtremumCollector, FusePipe, HookedZipSpliterator, IdentityStage,
+    ItemSource, JoiningCollector, LeafAccess, NTieSpliterator, NWayCollector, PowerListCollector,
+    PowerMapCollector, PowerSpliterator, ReduceCollector, SliceSpliterator, SplitPolicy,
+    Spliterator, TieSpliterator, VecCollector, ZipSpliterator,
 };
 use powerlist::{PList, PowerList, PowerView};
 use proptest::prelude::*;
@@ -69,7 +69,7 @@ impl<T, S: ItemSource<T>> ItemSource<T> for Opaque<S> {
     }
 }
 
-// Deliberately empty: `try_as_slice`/`try_as_strided` answer `None`.
+// Deliberately empty: `try_as_strided` answers `None`.
 impl<T, S> LeafAccess<T> for Opaque<S> {}
 
 impl<T, S: Spliterator<T>> Spliterator<T> for Opaque<S> {
@@ -139,7 +139,7 @@ proptest! {
         let (ds, dj) = decomp_of(zip);
         let spec = powerlist::ops::map(&p, |x| x * c - 3);
 
-        // Zero-copy collect (PowerMapCollector has slice kernels).
+        // Zero-copy collect (PowerMapCollector has a borrowed-run kernel).
         let zero_copy = stream_support(PowerSpliterator::over(p.clone(), ds), true)
             .with_leaf_size(leaf)
             .collect(PowerMapCollector::new(ds, move |x: i64| x * c - 3))
@@ -628,6 +628,203 @@ fn tuner_counters_across_invalidation() {
 }
 
 // ---------------------------------------------------------------------
+// Kernel arms: every built-in `leaf_strided` — its contiguous (step 1)
+// arm and its strided arm — builds the container `Collector::leaf`
+// builds by draining the same elements.
+// ---------------------------------------------------------------------
+
+/// Element counts of the runs checked; `leaf_strided` accepts any.
+const RUN_LENGTHS: [usize; 8] = [0, 1, 2, 3, 5, 8, 13, 16];
+/// The same for kernels that need power-of-two runs (the FFT).
+const POWER_RUN_LENGTHS: [usize; 6] = [0, 1, 2, 4, 8, 16];
+
+/// Checks `leaf_strided(items, step)` against `Collector::leaf` over the
+/// run's elements, for steps 1, 2, 4 and 8 and runs of `counts`
+/// elements cut from `base` as the strided-run contract shapes them
+/// (ending on the run's last element). `make(step)` builds the
+/// collector for one step.
+fn kernel_agrees<T, C>(
+    name: &str,
+    base: &[T],
+    counts: &[usize],
+    make: impl Fn(usize) -> C,
+    same: impl Fn(&C::Acc, &C::Acc) -> bool,
+) where
+    T: Clone + Send + Sync + 'static,
+    C: jstreams::Collector<T>,
+{
+    for step in [1usize, 2, 4, 8] {
+        for &count in counts {
+            let len = if count == 0 {
+                0
+            } else {
+                (count - 1) * step + 1
+            };
+            let items = &base[..len];
+            let collector = make(step);
+            let borrowed = collector
+                .leaf_strided(items, step)
+                .unwrap_or_else(|| panic!("{name}: no borrowed-run kernel"));
+            let run: Vec<T> = items.iter().step_by(step).cloned().collect();
+            let drained = collector.leaf(&mut SliceSpliterator::new(run));
+            assert!(
+                same(&borrowed, &drained),
+                "{name}: step {step}, {count} elements"
+            );
+        }
+    }
+}
+
+/// Orders by key only, so equal keys are ties an extremum must resolve
+/// to the earliest element; `pos` tells which one won.
+#[derive(Clone, Debug)]
+struct Keyed {
+    key: i64,
+    pos: usize,
+}
+
+impl PartialEq for Keyed {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Keyed {}
+
+impl PartialOrd for Keyed {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Keyed {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+
+#[test]
+fn every_kernel_arm_agrees_with_the_cloning_leaf() {
+    let _shared = shared();
+    let ints: Vec<i64> = (0..128).map(|i| (i * 37 + 11) % 101 - 50).collect();
+    let floats: Vec<f64> = ints.iter().map(|&v| v as f64 / 50.0).collect();
+
+    kernel_agrees("vec", &ints, &RUN_LENGTHS, |_| VecCollector, PartialEq::eq);
+    // Affine-map composition: associative, not commutative, so a kernel
+    // that folds out of order fails.
+    let pairs: Vec<(i64, i64)> = ints.iter().map(|&v| (v % 7, v)).collect();
+    let compose = |(a1, b1): (i64, i64), (a2, b2): (i64, i64)| {
+        (a1.wrapping_mul(a2), b1.wrapping_mul(a2).wrapping_add(b2))
+    };
+    kernel_agrees(
+        "reduce",
+        &pairs,
+        &RUN_LENGTHS,
+        |_| ReduceCollector::new((1i64, 0i64), compose),
+        PartialEq::eq,
+    );
+    kernel_agrees(
+        "count",
+        &ints,
+        &RUN_LENGTHS,
+        |_| CountCollector,
+        PartialEq::eq,
+    );
+    let keyed: Vec<Keyed> = ints
+        .iter()
+        .enumerate()
+        .map(|(pos, &v)| Keyed { key: v % 3, pos })
+        .collect();
+    let same_winner = |a: &Option<Keyed>, b: &Option<Keyed>| {
+        a.as_ref().map(|k| (k.key, k.pos)) == b.as_ref().map(|k| (k.key, k.pos))
+    };
+    kernel_agrees(
+        "min",
+        &keyed,
+        &RUN_LENGTHS,
+        |_| ExtremumCollector::min(),
+        same_winner,
+    );
+    kernel_agrees(
+        "max",
+        &keyed,
+        &RUN_LENGTHS,
+        |_| ExtremumCollector::max(),
+        same_winner,
+    );
+    let words: Vec<String> = ints.iter().map(|v| v.to_string()).collect();
+    kernel_agrees(
+        "joining",
+        &words,
+        &RUN_LENGTHS,
+        |_| JoiningCollector::new(", "),
+        PartialEq::eq,
+    );
+    for decomposition in [Decomposition::Tie, Decomposition::Zip] {
+        kernel_agrees(
+            &format!("powerlist {decomposition:?}"),
+            &ints,
+            &RUN_LENGTHS,
+            |_| PowerListCollector::new(decomposition),
+            PartialEq::eq,
+        );
+    }
+    kernel_agrees(
+        "power map",
+        &ints,
+        &RUN_LENGTHS,
+        |_| PowerMapCollector::new(Decomposition::Tie, |x: i64| 3 * x + 1),
+        PartialEq::eq,
+    );
+    kernel_agrees(
+        "mss",
+        &ints,
+        &RUN_LENGTHS,
+        |_| plalgo::MssCollector,
+        PartialEq::eq,
+    );
+    // The drained leaf reads its stride from the shared degree, the
+    // borrowed one from its run: line the two up.
+    kernel_agrees(
+        "polynomial",
+        &floats,
+        &RUN_LENGTHS,
+        |step| {
+            let c = plalgo::PolynomialCollector::new(0.97);
+            c.degree_state().update(|d| *d = step as u64);
+            c
+        },
+        |a: &plalgo::poly::PolyAcc, b: &plalgo::poly::PolyAcc| {
+            a.stride == b.stride && rel_close(a.val, b.val)
+        },
+    );
+    kernel_agrees(
+        "tupled vp",
+        &floats,
+        &RUN_LENGTHS,
+        |_| plalgo::TupledVpCollector::new(0.97),
+        |a: &(f64, f64), b: &(f64, f64)| rel_close(a.0, b.0) && rel_close(a.1, b.1),
+    );
+    let signal: Vec<plalgo::Complex> = floats
+        .iter()
+        .map(|&re| plalgo::Complex { re, im: -re / 2.0 })
+        .collect();
+    kernel_agrees(
+        "fft",
+        &signal,
+        &POWER_RUN_LENGTHS,
+        |_| plalgo::FftCollector,
+        |a: &powerlist::PowerArray<plalgo::Complex>, b: &powerlist::PowerArray<plalgo::Complex>| {
+            a.len() == b.len()
+                && a.as_slice()
+                    .iter()
+                    .zip(b.as_slice())
+                    .all(|(x, y)| rel_close(x.re, y.re) && rel_close(x.im, y.im))
+        },
+    );
+}
+
+// ---------------------------------------------------------------------
 // Route accounting: the zero-copy dispatch is not just equivalent, it
 // is *taken*. These record the actual leaf routes through the plobs
 // sink and assert that zero-copy-capable pipelines never fall back to
@@ -640,12 +837,12 @@ fn zero_copy_capable_routes_never_clone() {
     let p = PowerList::from_vec((0..512i64).collect()).unwrap();
     let q = p.clone();
     let ((tie_sum, zip_mapped), report) = plobs::recorded(move || {
-        // Tie leaves are contiguous: must resolve to `leaf_slice`.
+        // Tie leaves are contiguous runs (step 1) of the one borrowed
+        // route.
         let tie_sum = stream_support(TieSpliterator::over(p.clone()), true)
             .with_leaf_size(16)
             .collect(ReduceCollector::new(0i64, |a, b| a + b));
-        // Zip leaves are strided residue classes: must resolve to
-        // `leaf_strided`.
+        // Zip leaves are strided residue classes of the same route.
         let zip_mapped =
             stream_support(PowerSpliterator::over(p.clone(), Decomposition::Zip), true)
                 .with_leaf_size(16)
@@ -665,13 +862,10 @@ fn zero_copy_capable_routes_never_clone() {
         "a zero-copy-capable route fell back to the cloning drain:\n{}",
         report.tree_summary()
     );
-    assert!(
-        report.routes.zero_copy_slice.leaves > 0,
-        "tie run took no slice leaves"
-    );
-    assert!(
-        report.routes.zero_copy_strided.leaves > 0,
-        "zip run took no strided leaves"
+    assert_eq!(
+        report.routes.zero_copy.items,
+        2 * 512,
+        "both runs take only zero-copy leaves"
     );
     assert_eq!(report.routes.total_items(), 2 * 512);
 }
@@ -686,8 +880,7 @@ fn hidden_leaf_access_takes_only_the_cloning_drain() {
             .collect(ReduceCollector::new(0i64, |a, b| a + b))
     });
     assert_eq!(sum, (0..256).sum::<i64>());
-    assert_eq!(report.routes.zero_copy_slice.leaves, 0);
-    assert_eq!(report.routes.zero_copy_strided.leaves, 0);
+    assert_eq!(report.routes.zero_copy.leaves, 0);
     assert!(
         report.routes.cloning_drain.leaves > 0,
         "opaque collect must drain per element:\n{}",
@@ -1464,9 +1657,6 @@ impl<T, S: ItemSource<T>> ItemSource<T> for Counted<S> {
 }
 
 impl<T, S: LeafAccess<T>> LeafAccess<T> for Counted<S> {
-    fn try_as_slice(&self) -> Option<&[T]> {
-        self.inner.try_as_slice()
-    }
     fn try_as_strided(&self) -> Option<(&[T], usize)> {
         self.inner.try_as_strided()
     }
