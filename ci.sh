@@ -28,6 +28,13 @@ echo "==> plalgo under the benchmark's codegen (target-cpu=native)"
 RUSTFLAGS="$BENCH_RUSTFLAGS" CARGO_TARGET_DIR=target/native \
 cargo test -q --release -p plalgo
 
+echo "==> jstreams under the benchmark's codegen (target-cpu=native)"
+# The fused leaf's by-value fold and the fused search's chunked
+# survivor scan vectorise under target-cpu=native; run the streams
+# tests on that codegen too, in the same native target directory.
+RUSTFLAGS="$BENCH_RUSTFLAGS" CARGO_TARGET_DIR=target/native \
+cargo test -q --release -p jstreams
+
 echo "==> cargo test -q --workspace (all crates incl. plobs, doc-tests)"
 cargo test -q --workspace
 

@@ -72,6 +72,36 @@ impl<T> ItemSource<T> for CountingSource<'_, T> {
     }
 }
 
+/// Wraps a [`Collector`] to count the elements its accumulator
+/// receives — the fused-borrow twin of [`CountingSource`]: a filtering
+/// chain's survivor count, which only an observed leaf reports. Only
+/// used while an observability sink is installed, so the unobserved
+/// fused leaf carries no counter.
+struct CountingCollector<'a, C: ?Sized>(&'a C);
+
+impl<T, C: Collector<T> + ?Sized> Collector<T> for CountingCollector<'_, C> {
+    type Acc = (C::Acc, u64);
+    type Out = (C::Acc, u64);
+
+    fn supplier(&self) -> Self::Acc {
+        (self.0.supplier(), 0)
+    }
+
+    #[inline]
+    fn accumulate(&self, acc: &mut Self::Acc, item: T) {
+        self.0.accumulate(&mut acc.0, item);
+        acc.1 += 1;
+    }
+
+    fn combine(&self, left: Self::Acc, right: Self::Acc) -> Self::Acc {
+        (self.0.combine(left.0, right.0), left.1 + right.1)
+    }
+
+    fn finish(&self, acc: Self::Acc) -> Self::Acc {
+        acc
+    }
+}
+
 /// Runs one leaf through the zero-copy path when both sides support it:
 /// if the source exposes a borrowed strided run
 /// ([`LeafAccess`](crate::spliterator::LeafAccess)) *and* the
@@ -102,13 +132,20 @@ where
             .map(|acc| (acc, LeafRoute::ZeroCopy, n))
     });
     // Fused-borrow route: a fused adapter pipeline exposes no borrowed
-    // run of *transformed* elements, but can drive its chain over the
-    // underlying source's borrow; `n` counts what reached the
-    // accumulator (survivors, for filtering chains).
+    // run of *transformed* elements, but can fold its chain over the
+    // underlying source's borrow. An observed leaf counts what reached
+    // the accumulator (survivors, for filtering chains); the unobserved
+    // one keeps the counter out of its loop.
     let done = done.or_else(|| {
-        source
-            .fused_leaf(collector)
-            .map(|(acc, n)| (acc, LeafRoute::FusedBorrow, n))
+        if observe {
+            source
+                .fused_leaf(&CountingCollector(collector))
+                .map(|(acc, n)| (acc, LeafRoute::FusedBorrow, n))
+        } else {
+            source
+                .fused_leaf(collector)
+                .map(|acc| (acc, LeafRoute::FusedBorrow, 0))
+        }
     });
     let (acc, route, items) = match done {
         Some((acc, route, n)) => {

@@ -135,6 +135,7 @@ where
         (self.supplier)()
     }
 
+    #[inline]
     fn accumulate(&self, acc: &mut A, item: T) {
         (self.accumulator)(acc, item)
     }
@@ -160,6 +161,7 @@ impl<T: Clone + Send + 'static> Collector<T> for VecCollector {
         Vec::new()
     }
 
+    #[inline]
     fn accumulate(&self, acc: &mut Vec<T>, item: T) {
         acc.push(item);
     }
@@ -232,6 +234,7 @@ where
         self.identity.clone()
     }
 
+    #[inline]
     fn accumulate(&self, acc: &mut T, item: T) {
         let prev = std::mem::replace(acc, self.identity.clone());
         *acc = (self.op)(prev, item);
@@ -273,6 +276,7 @@ impl<T: Send> Collector<T> for CountCollector {
         0
     }
 
+    #[inline]
     fn accumulate(&self, acc: &mut usize, _item: T) {
         *acc += 1;
     }
@@ -348,6 +352,7 @@ impl<T: Ord + Send + Clone> Collector<T> for ExtremumCollector {
         None
     }
 
+    #[inline]
     fn accumulate(&self, acc: &mut Option<T>, item: T) {
         match acc {
             None => *acc = Some(item),

@@ -13,10 +13,12 @@
 //!
 //! At a leaf, [`LeafAccess::fused_leaf`] borrows the source's run —
 //! contiguous or strided, exactly as the zero-copy kernels do — and
-//! drives the chain *push-style* into the collector's accumulator: one
-//! monomorphized loop, no per-element `dyn` dispatch, no intermediate
-//! clones beyond the single `B -> chain` hand-off. The driver reports
-//! these leaves as [`LeafRoute::FusedBorrow`](plobs::LeafRoute).
+//! folds the chain over it into the collector's accumulator, carried by
+//! value ([`FusedStage::fold`]): one monomorphized
+//! `iter().map().filter().fold()` loop, the shape of a hand-written
+//! one, with no per-element `dyn` dispatch and no intermediate clones
+//! beyond the single `B -> chain` hand-off. The driver reports these
+//! leaves as [`LeafRoute::FusedBorrow`](plobs::LeafRoute).
 //!
 //! Route-selection rules (see DESIGN.md §10):
 //!
@@ -31,6 +33,7 @@
 use crate::characteristics::Characteristics;
 use crate::collector::Collector;
 use crate::power::PowerSpliterator;
+use crate::search::SCAN_CHUNK;
 use crate::spliterator::{ItemSource, LeafAccess, SliceSpliterator, Spliterator};
 use crate::tie::TieSpliterator;
 use crate::truncate::{LimitSpliterator, SkipSpliterator};
@@ -41,19 +44,25 @@ use std::sync::Arc;
 /// One composable pending operation chain from source elements `T` to
 /// pipeline elements `U`.
 ///
-/// `push` is generic over its sink so a whole chain monomorphizes into
-/// straight-line code inside the fused leaf loop; stages are cheap to
-/// clone (function objects sit behind `Arc`) because every split clones
-/// the chain alongside the split-off source prefix.
+/// A chain is a by-value fold step: [`FusedStage::fold`] threads an
+/// accumulator through the chain, so a leaf driving it over a borrowed
+/// run compiles to the same `iter().map().filter().fold()` shape as a
+/// hand-written loop. Stages are cheap to clone (function objects sit
+/// behind `Arc`) because every split clones the chain alongside the
+/// split-off source prefix.
 pub trait FusedStage<T, U>: Clone + Send + Sync + 'static {
-    /// Pushes one source element through the chain; every value that
-    /// survives all stages reaches `sink`. Returns `true` when at least
-    /// one value reached the sink.
-    fn push<Sink: FnMut(U)>(&self, x: T, sink: &mut Sink) -> bool;
+    /// Folds one source element through the chain: returns `g(acc, u)`
+    /// when the element survives every stage as `u`, or `acc` unchanged
+    /// when a filter drops it.
+    fn fold<A, G: FnMut(A, U) -> A>(&self, x: T, acc: A, g: G) -> A;
 
     /// `true` when every source element produces exactly one output —
     /// i.e. the chain contains no filter.
     fn exact(&self) -> bool;
+
+    /// `true` when the chain contains an observer (`peek`) stage, whose
+    /// side effects must not run speculatively.
+    fn observes(&self) -> bool;
 
     /// The characteristics this chain destroys on its source: map stages
     /// drop `SORTED|DISTINCT`, filter stages drop
@@ -67,13 +76,16 @@ pub struct IdentityStage;
 
 impl<T> FusedStage<T, T> for IdentityStage {
     #[inline]
-    fn push<Sink: FnMut(T)>(&self, x: T, sink: &mut Sink) -> bool {
-        sink(x);
-        true
+    fn fold<A, G: FnMut(A, T) -> A>(&self, x: T, acc: A, mut g: G) -> A {
+        g(acc, x)
     }
 
     fn exact(&self) -> bool {
         true
+    }
+
+    fn observes(&self) -> bool {
+        false
     }
 
     fn drops(&self) -> Characteristics {
@@ -120,13 +132,17 @@ where
     M: 'static,
 {
     #[inline]
-    fn push<Sink: FnMut(U)>(&self, x: T, sink: &mut Sink) -> bool {
+    fn fold<A, G: FnMut(A, U) -> A>(&self, x: T, acc: A, mut g: G) -> A {
         let f = &*self.f;
-        self.prev.push(x, &mut |m| sink(f(m)))
+        self.prev.fold(x, acc, |acc, m| g(acc, f(m)))
     }
 
     fn exact(&self) -> bool {
         self.prev.exact()
+    }
+
+    fn observes(&self) -> bool {
+        self.prev.observes()
     }
 
     fn drops(&self) -> Characteristics {
@@ -167,20 +183,18 @@ where
     P: Fn(&U) -> bool + Send + Sync + 'static,
 {
     #[inline]
-    fn push<Sink: FnMut(U)>(&self, x: T, sink: &mut Sink) -> bool {
+    fn fold<A, G: FnMut(A, U) -> A>(&self, x: T, acc: A, mut g: G) -> A {
         let pred = &*self.pred;
-        let mut passed = false;
-        self.prev.push(x, &mut |u| {
-            if pred(&u) {
-                passed = true;
-                sink(u);
-            }
-        });
-        passed
+        self.prev
+            .fold(x, acc, |acc, u| if pred(&u) { g(acc, u) } else { acc })
     }
 
     fn exact(&self) -> bool {
         false
+    }
+
+    fn observes(&self) -> bool {
+        self.prev.observes()
     }
 
     fn drops(&self) -> Characteristics {
@@ -222,16 +236,20 @@ where
     F: Fn(&U) + Send + Sync + 'static,
 {
     #[inline]
-    fn push<Sink: FnMut(U)>(&self, x: T, sink: &mut Sink) -> bool {
+    fn fold<A, G: FnMut(A, U) -> A>(&self, x: T, acc: A, mut g: G) -> A {
         let obs = &*self.observer;
-        self.prev.push(x, &mut |u| {
+        self.prev.fold(x, acc, |acc, u| {
             obs(&u);
-            sink(u);
+            g(acc, u)
         })
     }
 
     fn exact(&self) -> bool {
         self.prev.exact()
+    }
+
+    fn observes(&self) -> bool {
+        true
     }
 
     fn drops(&self) -> Characteristics {
@@ -292,7 +310,10 @@ where
         loop {
             let mut emitted = false;
             let more = self.source.try_advance(&mut |x| {
-                emitted = chain.push(x, &mut |u| action(u));
+                emitted = chain.fold(x, false, |_, u| {
+                    action(u);
+                    true
+                });
             });
             if !more {
                 return false;
@@ -305,9 +326,8 @@ where
 
     fn for_each_remaining(&mut self, action: &mut dyn FnMut(U)) {
         let chain = &self.chain;
-        self.source.for_each_remaining(&mut |x| {
-            chain.push(x, &mut |u| action(u));
-        });
+        self.source
+            .for_each_remaining(&mut |x| chain.fold(x, (), |(), u| action(u)));
     }
 
     fn estimate_size(&self) -> usize {
@@ -329,37 +349,36 @@ where
         self.source.mark_drained();
     }
 
-    fn fused_leaf<C>(&mut self, collector: &C) -> Option<(C::Acc, u64)>
+    fn fused_leaf<C>(&mut self, collector: &C) -> Option<C::Acc>
     where
         C: Collector<U> + ?Sized,
         Self: Sized,
     {
         let (items, step) = self.source.try_as_strided()?;
         let chain = &self.chain;
-        let mut acc = collector.supplier();
-        // Survivor accounting: count what actually reaches the
-        // accumulator, never the borrowed-run length — a filtering
-        // chain delivers fewer elements than it reads.
-        let mut delivered: u64 = 0;
-        {
-            let mut sink = |u: U| {
-                delivered += 1;
-                collector.accumulate(&mut acc, u);
-            };
-            if step == 1 {
-                for x in items {
-                    chain.push(x.clone(), &mut sink);
-                }
-            } else {
-                // Strided-run contract: the last element of `items` is
-                // always covered (`items.len() % step == 1`).
-                for x in items.iter().step_by(step) {
-                    chain.push(x.clone(), &mut sink);
-                }
-            }
-        }
+        // The accumulator travels by value through the chain, and no
+        // survivor counter rides along: both keep the loop in vector
+        // registers. Survivor counts, when observed, come from the
+        // caller's collector (see `collect::run_leaf`).
+        let accumulate = |mut acc: C::Acc, u: U| {
+            collector.accumulate(&mut acc, u);
+            acc
+        };
+        let init = collector.supplier();
+        let acc = if step == 1 {
+            items
+                .iter()
+                .fold(init, |acc, x| chain.fold(x.clone(), acc, accumulate))
+        } else {
+            // Strided-run contract: the last element of `items` is
+            // always covered (`items.len() % step == 1`).
+            items
+                .iter()
+                .step_by(step)
+                .fold(init, |acc, x| chain.fold(x.clone(), acc, accumulate))
+        };
         self.source.mark_drained();
-        Some((acc, delivered))
+        Some(acc)
     }
 
     fn can_fused_fill(&self) -> bool {
@@ -381,24 +400,30 @@ where
         let chain = &self.chain;
         // An exact chain delivers one element per source element, so
         // the count is the run's length — no per-element counter.
-        let delivered = if items.is_empty() {
-            0
-        } else {
-            (items.len() - 1) / step + 1
-        };
+        let delivered = items.len().div_ceil(step);
+        let mut fill = |x: &B| chain.fold(x.clone(), (), |(), u| sink(u));
         if step == 1 {
-            for x in items {
-                chain.push(x.clone(), &mut sink);
-            }
+            items.iter().for_each(&mut fill);
         } else {
-            for x in items.iter().step_by(step) {
-                chain.push(x.clone(), &mut sink);
-            }
+            items.iter().step_by(step).for_each(&mut fill);
         }
         self.source.mark_drained();
         Some(delivered as u64)
     }
 
+    /// Runs `visit` on the chain's survivors in encounter order until it
+    /// returns `true`.
+    ///
+    /// A contiguous run under a filtering chain with no observer stage
+    /// is scanned in chunks of `SCAN_CHUNK` (256) elements: a branch-free
+    /// fold first asks whether any element of the chunk survives, and
+    /// only a chunk with a survivor is replayed element by element
+    /// through `visit`. So `visit` still sees exactly the survivors, in
+    /// order, but the chain's `map`/`filter` closures may run on up to
+    /// `SCAN_CHUNK - 1` elements past the hit, and twice on the hit's
+    /// chunk — like search predicates, they must be pure. A chain with a
+    /// `peek` stage keeps the element-by-element loop, so an observer
+    /// never runs speculatively.
     // Inlined into the search leaf so its visitor closure devirtualizes.
     // Out of line, streambench's `find_first` sequential rung measured
     // 1.1–1.6× the hand loop instead of 1.0× (2-vCPU AMD EPYC).
@@ -406,36 +431,28 @@ where
     fn fused_search(&mut self, visit: &mut dyn FnMut(&U) -> bool) -> Option<(bool, u64)> {
         let (items, step) = self.source.try_as_strided()?;
         let chain = &self.chain;
-        // A Cell so the sink (which owns the only &mut access) and the
-        // outer loop's early-exit test can both see the stop flag.
-        let stopped = std::cell::Cell::new(false);
         let mut delivered: u64 = 0;
-        {
-            let mut sink = |u: U| {
-                if !stopped.get() {
-                    delivered += 1;
-                    if visit(&u) {
-                        stopped.set(true);
-                    }
-                }
-            };
-            if step == 1 {
-                for x in items {
-                    chain.push(x.clone(), &mut sink);
-                    if stopped.get() {
-                        break;
-                    }
-                }
-            } else {
-                for x in items.iter().step_by(step) {
-                    chain.push(x.clone(), &mut sink);
-                    if stopped.get() {
-                        break;
-                    }
-                }
-            }
-        }
-        let stopped = stopped.get();
+        // A chain maps one element to at most one survivor, so folding
+        // `visit`'s answer through it says whether this element stops
+        // the scan.
+        let mut stops = |x: &B| {
+            chain.fold(x.clone(), false, |_, u| {
+                delivered += 1;
+                visit(&u)
+            })
+        };
+        let stopped = if step == 1 && !chain.exact() && !chain.observes() {
+            items.chunks(SCAN_CHUNK).any(|chunk| {
+                let survives = chunk
+                    .iter()
+                    .fold(false, |any, x| chain.fold(x.clone(), any, |_, _| true));
+                survives && chunk.iter().any(&mut stops)
+            })
+        } else if step == 1 {
+            items.iter().any(&mut stops)
+        } else {
+            items.iter().step_by(step).any(&mut stops)
+        };
         if !stopped {
             self.source.mark_drained();
         }
@@ -648,24 +665,49 @@ mod tests {
         assert!(!s.try_advance(&mut |_| {}));
     }
 
+    /// Runs `s` as one observed leaf (`run_leaf` under a recorder) and
+    /// returns its accumulator with the item count its fused-borrow
+    /// event reported.
+    fn observed_fused_leaf<U, S, C>(s: &mut S, collector: &C) -> (C::Acc, u64)
+    where
+        S: Spliterator<U>,
+        C: Collector<U>,
+    {
+        let _serial = crate::test_serial::exclusive();
+        let (acc, report) = plobs::recorded(|| crate::collect::run_leaf(s, collector));
+        assert_eq!(report.routes.fused_borrow.leaves, 1);
+        assert_eq!(report.routes.cloning_drain.leaves, 0);
+        (acc, report.routes.fused_borrow.items)
+    }
+
     #[test]
     fn fused_leaf_drives_chain_over_borrowed_run() {
-        let mut s = fused_map_times_10(vec![1, 2, 3]);
         let collector = ReduceCollector::new(0i32, |a, b| a + b);
-        let (acc, n) = s.fused_leaf(&collector).expect("slice source borrows");
+        let mut s = fused_map_times_10(vec![1, 2, 3]);
+        assert_eq!(s.fused_leaf(&collector), Some(60));
+        // The source was marked drained.
+        assert_eq!(drain(&mut s), Vec::<i32>::new());
+        let mut s = fused_map_times_10(vec![1, 2, 3]);
+        let (acc, n) = observed_fused_leaf(&mut s, &collector);
         assert_eq!(acc, 60);
         assert_eq!(n, 3);
-        // The source was marked drained.
         assert_eq!(drain(&mut s), Vec::<i32>::new());
     }
 
     #[test]
     fn fused_leaf_reports_survivor_counts_not_borrow_lengths() {
-        let chain = FilterStage::new(MapStage::new(IdentityStage, |x: i64| x * 2), |x: &i64| {
-            x % 4 == 0
-        });
-        let mut s = FusedSpliterator::new(SliceSpliterator::new((0..10).collect()), chain);
-        let (acc, n) = s.fused_leaf(&VecCollector).unwrap();
+        let source = || {
+            let chain =
+                FilterStage::new(MapStage::new(IdentityStage, |x: i64| x * 2), |x: &i64| {
+                    x % 4 == 0
+                });
+            FusedSpliterator::new(SliceSpliterator::new((0..10).collect()), chain)
+        };
+        assert_eq!(
+            source().fused_leaf(&VecCollector),
+            Some(vec![0, 4, 8, 12, 16])
+        );
+        let (acc, n) = observed_fused_leaf(&mut source(), &VecCollector);
         assert_eq!(acc, vec![0, 4, 8, 12, 16]);
         assert_eq!(
             n, 5,
@@ -677,16 +719,18 @@ mod tests {
     fn fused_leaf_covers_strided_residues() {
         // A zip split yields stride-2 residue classes; the fused chain
         // must walk exactly that class.
-        let list = tabulate(8, |i| i as i64).unwrap();
-        let mut z = ZipSpliterator::over(list);
-        let mut prefix = FusedSpliterator::new(
-            z.try_split().unwrap(),
-            MapStage::new(IdentityStage, |x| x + 100),
+        let evens = || {
+            let mut z = ZipSpliterator::over(tabulate(8, |i| i as i64).unwrap());
+            let prefix = z.try_split().unwrap();
+            FusedSpliterator::new(prefix, MapStage::new(IdentityStage, |x| x + 100))
+        };
+        assert_eq!(
+            evens().fused_leaf(&VecCollector),
+            Some(vec![100, 102, 104, 106])
         );
-        let (acc, n) = prefix.fused_leaf(&VecCollector).unwrap();
+        let (acc, n) = observed_fused_leaf(&mut evens(), &VecCollector);
         assert_eq!(acc, vec![100, 102, 104, 106]);
         assert_eq!(n, 4);
-        let _ = drain(&mut z);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! The driver reuses the collect machinery wholesale — the split-tree
 //! walker ([`crate::walk`]) with its split policies, the tuner's plan
 //! cache, pool fallbacks, and the fused-borrow leaf protocol
-//! (predicates run push-style over *borrowed* source runs, so a
+//! (predicates run over *borrowed* source runs, so a
 //! `map`/`filter` chain is searched without materializing it) — but
 //! replaces the combine phase with shared search state
 //! ([`walk::Combine::Skip`]) and adds two short-circuit mechanisms:
@@ -328,7 +328,8 @@ impl<T: Clone + Send + 'static> SearchSink<T> for FirstSink<T> {
     }
 }
 
-/// Chunk width of the zero-copy scan: predicates are evaluated over a
+/// Chunk width of the zero-copy scan and of the fused search's
+/// survivor scan: predicates (or a fused chain) are evaluated over a
 /// whole chunk branch-free (so simple predicates autovectorise like a
 /// reduce leaf does) before the stop test runs; a positive chunk is
 /// rescanned scalar to pin the exact first hit. The overrun is at most
@@ -336,7 +337,7 @@ impl<T: Clone + Send + 'static> SearchSink<T> for FirstSink<T> {
 /// checkpoint" contract. 256 keeps the stop-test branch off the hot
 /// path (measured within ~1.1× of a plain reduce fold on an absent
 /// needle) while bounding the overrun to a few cache lines.
-const SCAN_CHUNK: usize = 256;
+pub(crate) const SCAN_CHUNK: usize = 256;
 
 /// Scans a contiguous run, returning `(elements_scanned, first_hit)`.
 /// The predicate may be invoked on up to `SCAN_CHUNK - 1` elements past
@@ -369,8 +370,8 @@ fn scan_run<T, P: Fn(&T) -> bool>(items: &[T], pred: &P) -> (u64, Option<usize>)
 /// Route selection mirrors [`crate::collect::run_leaf`]: a borrowed
 /// contiguous run takes the chunked [`scan_run`] (the predicate sees
 /// `&T`, no clones, vectorisable); a strided borrow scans scalar over
-/// the residue class; a fused adapter pipeline drives its chain
-/// push-style over the *underlying* source's borrow
+/// the residue class; a fused adapter pipeline drives its chain over
+/// the *underlying* source's borrow, skipping survivor-free chunks
 /// ([`crate::spliterator::LeafAccess::fused_search`]); everything else
 /// takes the per-element cloning drain. Observed runs emit one
 /// [`Event::Leaf`] counting the elements actually delivered to the

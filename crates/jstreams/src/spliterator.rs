@@ -77,14 +77,15 @@ pub trait LeafAccess<T> {
     fn mark_drained(&mut self) {}
 
     /// Fused-borrow leaf: run this leaf by borrowing the *underlying
-    /// source's* run and driving a fused adapter chain push-style into
-    /// `collector`'s accumulator, returning the finished accumulator and
-    /// the number of items that reached it (survivors, for filtering
-    /// chains). `None` declines the route — the default for every plain
-    /// source and adapter; only
+    /// source's* run and folding a fused adapter chain over it into
+    /// `collector`'s accumulator, returning the finished accumulator.
+    /// The accumulator is threaded by value and no survivor count is
+    /// kept; a caller that needs one (an observed leaf) passes a
+    /// collector that counts in `accumulate`. `None` declines the route
+    /// — the default for every plain source and adapter; only
     /// [`FusedSpliterator`](crate::fused::FusedSpliterator) overrides
     /// it. Implementations must leave `self` drained on success.
-    fn fused_leaf<C>(&mut self, _collector: &C) -> Option<(C::Acc, u64)>
+    fn fused_leaf<C>(&mut self, _collector: &C) -> Option<C::Acc>
     where
         C: crate::collector::Collector<T> + ?Sized,
         Self: Sized,
@@ -93,13 +94,17 @@ pub trait LeafAccess<T> {
     }
 
     /// Fused-borrow **search** leaf: run this leaf by borrowing the
-    /// underlying source's run and driving the fused adapter chain
-    /// push-style into `visit`, stopping at the first element for which
-    /// `visit` returns `true`. Returns `Some((stopped, delivered))` when
-    /// the route was taken — `stopped` says whether the scan
+    /// underlying source's run and driving the fused adapter chain over
+    /// it into `visit`, stopping at the first element for which `visit`
+    /// returns `true`. Returns `Some((stopped, delivered))` when the
+    /// route was taken — `stopped` says whether the scan
     /// short-circuited, `delivered` counts the elements that reached
-    /// `visit` (survivors, for filtering chains). `None` declines the
-    /// route — the default for every plain source and adapter; only
+    /// `visit` (survivors, for filtering chains). `visit` sees exactly
+    /// the survivors in encounter order, but the chain's own `map` and
+    /// `filter` closures may run speculatively on elements past the hit
+    /// (see [`FusedSpliterator`](crate::fused::FusedSpliterator)'s
+    /// chunked scan). `None` declines the route — the default for every
+    /// plain source and adapter; only
     /// [`FusedSpliterator`](crate::fused::FusedSpliterator) overrides
     /// it. Implementations must leave `self` drained on a *full* scan;
     /// after a stop the source state is unspecified (the search driver
@@ -121,7 +126,7 @@ pub trait LeafAccess<T> {
     }
 
     /// Fused-borrow **placement** leaf: drives the fused adapter chain
-    /// push-style over the borrowed source run, delivering every
+    /// over the borrowed source run, delivering every
     /// transformed element to `sink` in encounter order, and returns
     /// the count delivered. Only meaningful for *exact* (filter-free)
     /// chains, where the count equals the source run's length — the

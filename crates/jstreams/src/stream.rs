@@ -399,6 +399,13 @@ where
     /// `pred` (Java's `anyMatch`). The first hit trips the run's
     /// internal `Found` cancellation, so sibling subtrees stop at their
     /// next checkpoint instead of draining — see DESIGN.md §12.
+    ///
+    /// Speculation: leaves scan in chunks of 256 elements, so `pred` and
+    /// the pipeline's `map`/`filter` closures may run on up to 255
+    /// elements past the hit, and twice on the hit's chunk; they must be
+    /// pure (Java imposes the same statelessness rule). A panic there
+    /// surfaces as [`ExecError::Panicked`], never as a wrong answer.
+    /// `peek` observers never run speculatively (DESIGN.md §10).
     /// Infallible shim over [`Stream::try_any_match`].
     pub fn any_match<P>(self, pred: P) -> bool
     where
@@ -466,8 +473,14 @@ where
     /// sequential encounter-order scan rather than risk a misordered
     /// answer. Combine with `filter` to search: `.filter(p).find_first()`
     /// runs the predicate over borrowed source runs and prunes subtrees
-    /// that sit past the best hit so far. Infallible shim over
-    /// [`Stream::try_find_first`].
+    /// that sit past the best hit so far.
+    ///
+    /// Speculation: the same rule as [`Stream::any_match`] — the
+    /// pipeline's `map`/`filter` closures may run on up to 255 elements
+    /// past the hit (one 256-element scan chunk), and twice on the hit's
+    /// chunk, so they must be pure; a panic there surfaces as
+    /// [`ExecError::Panicked`], never as a wrong answer. Infallible shim
+    /// over [`Stream::try_find_first`].
     pub fn find_first(self) -> Option<T>
     where
         T: Clone,

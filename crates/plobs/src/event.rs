@@ -12,8 +12,8 @@ pub enum LeafRoute {
     /// `Collector::leaf_strided` over a borrowed strided run
     /// (contiguous when its step is 1).
     ZeroCopy,
-    /// A fused adapter chain (map/filter/inspect stages) driven
-    /// push-style over the *source's* borrowed run into the collector's
+    /// A fused adapter chain (map/filter/inspect stages) folded over
+    /// the *source's* borrowed run into the collector's
     /// accumulator — zero-copy traversal through adapters.
     FusedBorrow,
     /// The generic fallback: items cloned out one by one via

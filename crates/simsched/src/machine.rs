@@ -42,7 +42,7 @@ pub const ZERO_COPY_LEAF_FACTOR: f64 = 3.0;
 
 /// Per-element leaf-cost reduction of the *fused-borrow* leaf route:
 /// an adapted pipeline (map/filter chain) whose leaf drives the fused
-/// chain push-style over the source's borrowed run instead of cloning
+/// chain over the source's borrowed run instead of cloning
 /// every element through nested adapter callbacks. Slightly below
 /// [`ZERO_COPY_LEAF_FACTOR`] because the chain still executes its
 /// per-element stages inside the loop — only the traversal machinery

@@ -29,7 +29,7 @@ use jstreams::{
 use powerlist::{PList, PowerList, PowerView};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// The recorded tests below install a **global** plobs sink, so any
 /// test running concurrently in this binary would leak its events into
@@ -2113,4 +2113,275 @@ fn default_granularity_per_route() {
     // The inline root probe, then 8 walked leaves over the remainder.
     assert_eq!(search.splits, 7, "any_match: {search:?}");
     assert_eq!(search.routes.total_leaves(), 1 + 8, "any_match: {search:?}");
+}
+
+// ---------------------------------------------------------------------
+// Fused leaves: survivor counts when observed, and the chunked
+// survivor scan of fused searches.
+// ---------------------------------------------------------------------
+
+/// The fused-borrow leaf counts survivors only while a sink is
+/// installed. An observed filtering collect must still report, on
+/// every route, exactly the elements that reached the accumulator.
+#[test]
+fn observed_filtering_collect_reports_survivor_items() {
+    let _exclusive = exclusive();
+    let n = 1usize << 10;
+    let list = powerlist::tabulate(n, |i| (i as i64 * 37) % 101).unwrap();
+    let spec: Vec<i64> = list
+        .as_slice()
+        .iter()
+        .map(|x| 2 * x + 1)
+        .filter(|y| y % 3 == 0)
+        .collect();
+    let view = list.view();
+    let par = ExecConfig::par()
+        .with_pool(Arc::new(forkjoin::ForkJoinPool::new(2)))
+        .with_leaf_size(64);
+    for (mode, cfg) in [("seq", ExecConfig::seq()), ("par", par)] {
+        for zip in [false, true] {
+            let (sum, report) = plobs::recorded(|| {
+                let stream = if zip {
+                    stream_support(ZipSpliterator::from_view(&view), true)
+                        .map(|x| 2 * x + 1)
+                        .filter(|y| y % 3 == 0)
+                        .try_reduce(0, |a, b| a + b, &cfg)
+                } else {
+                    stream_support(TieSpliterator::from_view(&view), true)
+                        .map(|x| 2 * x + 1)
+                        .filter(|y| y % 3 == 0)
+                        .try_reduce(0, |a, b| a + b, &cfg)
+                };
+                stream.unwrap()
+            });
+            let what = format!("{mode} zip={zip}: {}", report.tree_summary());
+            assert_eq!(sum, spec.iter().sum::<i64>(), "{what}");
+            assert_eq!(report.routes.cloning_drain.leaves, 0, "{what}");
+            assert!(report.routes.fused_borrow.leaves > 0, "{what}");
+            assert_eq!(
+                report.routes.fused_borrow.items,
+                spec.len() as u64,
+                "{what}"
+            );
+        }
+    }
+}
+
+/// The search scan chunk width (`search.rs`'s `SCAN_CHUNK`).
+const SCAN_CHUNK: usize = 256;
+
+/// `find_first`, `find_any`, `any_match`, `all_match`, `none_match`.
+type SearchAnswers = (Option<i64>, Option<i64>, bool, bool, bool);
+
+/// Runs the five search terminals, each over a fresh copy of the
+/// pipeline `make` builds, whose survivors are `target` (one element or
+/// none). Returns the answers and, per terminal, what the pipeline's
+/// `peek` observer (which records into `seen`) saw.
+fn search_terminals<S>(
+    make: impl Fn() -> jstreams::Stream<i64, S>,
+    target: Option<i64>,
+    cfg: &ExecConfig,
+    seen: &Mutex<Vec<i64>>,
+) -> (SearchAnswers, Vec<Vec<i64>>)
+where
+    S: Spliterator<i64> + 'static,
+{
+    let mut views = Vec::new();
+    let mut observed = || views.push(std::mem::take(&mut *seen.lock().unwrap()));
+    let first = make().try_find_first(cfg).expect("find_first");
+    observed();
+    let any = make().try_find_any(cfg).expect("find_any");
+    observed();
+    let any_match = make().try_any_match(|_| true, cfg).expect("any_match");
+    observed();
+    let all_match = make()
+        .try_all_match(move |v| Some(*v) != target, cfg)
+        .expect("all_match");
+    observed();
+    let none_match = make().try_none_match(|_| true, cfg).expect("none_match");
+    observed();
+    ((first, any, any_match, all_match, none_match), views)
+}
+
+/// The search chains, named by composition (`map∘filter` filters, then
+/// maps), each selecting the one element equal to `needle`. Returns the
+/// answers of [`search_terminals`] and the survivor the chain delivers
+/// for `needle`.
+fn chain_search<S>(
+    source: impl Fn() -> jstreams::Stream<i64, S>,
+    chain: &str,
+    needle: i64,
+    present: bool,
+    cfg: &ExecConfig,
+    seen: &Arc<Mutex<Vec<i64>>>,
+) -> (SearchAnswers, Vec<Vec<i64>>, Option<i64>)
+where
+    S: FusePipe<i64> + 'static,
+{
+    let is_needle = move |x: &i64| *x == needle;
+    let (survivor, run) = match chain {
+        "filter" => (
+            needle,
+            search_terminals(
+                || source().filter(is_needle),
+                present.then_some(needle),
+                cfg,
+                seen,
+            ),
+        ),
+        "map∘filter" => (
+            2 * needle,
+            search_terminals(
+                || source().filter(is_needle).map(|x| 2 * x),
+                present.then_some(2 * needle),
+                cfg,
+                seen,
+            ),
+        ),
+        "filter∘map" => (
+            2 * needle + 1,
+            search_terminals(
+                || {
+                    source()
+                        .map(|x| 2 * x + 1)
+                        .filter(move |y| *y == 2 * needle + 1)
+                },
+                present.then_some(2 * needle + 1),
+                cfg,
+                seen,
+            ),
+        ),
+        "filter∘peek" => (
+            needle,
+            search_terminals(
+                || {
+                    let seen = Arc::clone(seen);
+                    source()
+                        .peek(move |x| seen.lock().unwrap().push(*x))
+                        .filter(is_needle)
+                },
+                present.then_some(needle),
+                cfg,
+                seen,
+            ),
+        ),
+        other => unreachable!("unknown chain {other}"),
+    };
+    (run.0, run.1, present.then_some(survivor))
+}
+
+/// Fused searches skip survivor-free chunks and replay only a chunk
+/// with a survivor, so a needle on either side of a chunk boundary (or
+/// absent) must give the sequential spec's answer on every route, and
+/// on the sequential route a `peek` observer (which keeps the
+/// element-by-element loop) sees exactly the prefix up to the hit.
+#[test]
+fn fused_search_chunk_scan_agrees_with_spec() {
+    let _shared = shared();
+    let n = 8 * SCAN_CHUNK;
+    let list = powerlist::tabulate(n, |i| 3 * i as i64 + 1).unwrap();
+    let data = list.as_slice().to_vec();
+    let par = ExecConfig::par()
+        .with_pool(Arc::new(forkjoin::ForkJoinPool::new(2)))
+        .with_leaf_size(SCAN_CHUNK / 2);
+    let c = SCAN_CHUNK;
+    let positions = [
+        Some(0),
+        Some(c - 1),
+        Some(c),
+        Some(c + 1),
+        Some(n - 1),
+        None,
+    ];
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let view = list.view();
+    for (mode, cfg) in [("seq", ExecConfig::seq()), ("par", par)] {
+        for zip in [false, true] {
+            for pos in positions {
+                // Values are 1 mod 3, so 0 is absent.
+                let needle = pos.map_or(0, |i| data[i]);
+                for chain in ["filter", "map∘filter", "filter∘map", "filter∘peek"] {
+                    let (got, views, target) = if zip {
+                        let source = || stream_support(ZipSpliterator::from_view(&view), true);
+                        chain_search(source, chain, needle, pos.is_some(), &cfg, &seen)
+                    } else {
+                        let source = || stream_support(TieSpliterator::from_view(&view), true);
+                        chain_search(source, chain, needle, pos.is_some(), &cfg, &seen)
+                    };
+                    let what = format!("{mode} zip={zip} {chain} needle at {pos:?}");
+                    let spec = (
+                        target,
+                        target,
+                        target.is_some(),
+                        target.is_none(),
+                        target.is_none(),
+                    );
+                    assert_eq!(got, spec, "{what}");
+                    if chain != "filter∘peek" {
+                        assert!(views.iter().all(Vec::is_empty), "{what}");
+                    } else if mode == "seq" {
+                        let prefix = &data[..pos.map_or(n, |i| i + 1)];
+                        for view in &views {
+                            assert_eq!(view.as_slice(), prefix, "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The speculation contract of the chunked survivor scan: a `map` may
+/// run on elements past the hit, inside the hit's chunk. A `map` that
+/// panics on the element just past the hit must therefore give
+/// `ExecError::Panicked` or the right answer, never a wrong one.
+#[test]
+fn speculative_map_past_the_hit_panics_or_answers() {
+    let _shared = shared();
+    let n = 4 * SCAN_CHUNK;
+    let list = powerlist::tabulate(n, |i| i as i64).unwrap();
+    let view = list.view();
+    let hit = SCAN_CHUNK + 1;
+    let (needle, poison) = (hit as i64, hit as i64 + 1);
+    let mapper = move |x: i64| {
+        assert!(x != poison, "mapper poison {x}");
+        x
+    };
+    let par = ExecConfig::par()
+        .with_pool(Arc::new(forkjoin::ForkJoinPool::new(2)))
+        .with_leaf_size(SCAN_CHUNK);
+    for (mode, cfg) in [("seq", ExecConfig::seq()), ("par", par)] {
+        for zip in [false, true] {
+            let what = format!("{mode} zip={zip}");
+            let (first, any) = if zip {
+                let source = || {
+                    stream_support(ZipSpliterator::from_view(&view), true)
+                        .map(mapper)
+                        .filter(move |x| *x == needle)
+                };
+                (
+                    source().try_find_first(&cfg),
+                    source().try_any_match(|_| true, &cfg),
+                )
+            } else {
+                let source = || {
+                    stream_support(TieSpliterator::from_view(&view), true)
+                        .map(mapper)
+                        .filter(move |x| *x == needle)
+                };
+                (
+                    source().try_find_first(&cfg),
+                    source().try_any_match(|_| true, &cfg),
+                )
+            };
+            match first {
+                Ok(v) => assert_eq!(v, Some(needle), "{what}"),
+                Err(e) => assert!(matches!(e, jstreams::ExecError::Panicked(_)), "{what}"),
+            }
+            match any {
+                Ok(v) => assert!(v, "{what}"),
+                Err(e) => assert!(matches!(e, jstreams::ExecError::Panicked(_)), "{what}"),
+            }
+        }
+    }
 }
