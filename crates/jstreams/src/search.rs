@@ -328,21 +328,26 @@ impl<T: Clone + Send + 'static> SearchSink<T> for FirstSink<T> {
     }
 }
 
-/// Chunk width of the zero-copy scan and of the fused search's
-/// survivor scan: predicates (or a fused chain) are evaluated over a
-/// whole chunk branch-free (so simple predicates autovectorise like a
+/// Chunk width of the zero-copy scan, and of the fused search's skip
+/// over survivor-free chunks
+/// ([`crate::fused::FusedSpliterator`]'s `fused_search`). In the
+/// zero-copy scan, predicates are evaluated over a whole chunk
+/// branch-free (so simple predicates autovectorise like a
 /// reduce leaf does) before the stop test runs; a positive chunk is
 /// rescanned scalar to pin the exact first hit. The overrun is at most
 /// one chunk — well inside the search terminals' "stops at the next
 /// checkpoint" contract. 256 keeps the stop-test branch off the hot
 /// path (measured within ~1.1× of a plain reduce fold on an absent
 /// needle) while bounding the overrun to a few cache lines.
+/// `tests/route_equivalence.rs` mirrors the value to place needles
+/// around a chunk boundary; keep the two in sync.
 pub(crate) const SCAN_CHUNK: usize = 256;
 
 /// Scans a contiguous run, returning `(elements_scanned, first_hit)`.
 /// The predicate may be invoked on up to `SCAN_CHUNK - 1` elements past
 /// the first hit, and twice on elements of the hit's chunk — search
-/// predicates must be pure (Java imposes the same statelessness rule).
+/// predicates must be pure. Sequential searches overrun too, unlike
+/// Java's sequential streams, which evaluate nothing past the hit.
 fn scan_run<T, P: Fn(&T) -> bool>(items: &[T], pred: &P) -> (u64, Option<usize>) {
     let mut done = 0usize;
     for chunk in items.chunks(SCAN_CHUNK) {

@@ -402,10 +402,12 @@ where
     ///
     /// Speculation: leaves scan in chunks of 256 elements, so `pred` and
     /// the pipeline's `map`/`filter` closures may run on up to 255
-    /// elements past the hit, and twice on the hit's chunk; they must be
-    /// pure (Java imposes the same statelessness rule). A panic there
-    /// surfaces as [`ExecError::Panicked`], never as a wrong answer.
-    /// `peek` observers never run speculatively (DESIGN.md §10).
+    /// elements past the hit, and twice on the elements of one chunk
+    /// per leaf — sequential searches included, unlike Java's
+    /// sequential streams, which evaluate nothing past the hit. They
+    /// must be pure; a panic there surfaces as [`ExecError::Panicked`],
+    /// never as a wrong answer. `peek` observers never run
+    /// speculatively (DESIGN.md §10).
     /// Infallible shim over [`Stream::try_any_match`].
     pub fn any_match<P>(self, pred: P) -> bool
     where
@@ -477,8 +479,9 @@ where
     ///
     /// Speculation: the same rule as [`Stream::any_match`] — the
     /// pipeline's `map`/`filter` closures may run on up to 255 elements
-    /// past the hit (one 256-element scan chunk), and twice on the hit's
-    /// chunk, so they must be pure; a panic there surfaces as
+    /// past the hit (one 256-element scan chunk), sequential searches
+    /// included, and twice on the elements of one chunk per leaf, so
+    /// they must be pure; a panic there surfaces as
     /// [`ExecError::Panicked`], never as a wrong answer. Infallible shim
     /// over [`Stream::try_find_first`].
     pub fn find_first(self) -> Option<T>

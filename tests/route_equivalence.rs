@@ -2167,7 +2167,10 @@ fn observed_filtering_collect_reports_survivor_items() {
     }
 }
 
-/// The search scan chunk width (`search.rs`'s `SCAN_CHUNK`).
+/// The search scan chunk width: a copy of `search.rs`'s crate-private
+/// `SCAN_CHUNK`, which must stay equal to it for the needles below to
+/// straddle a chunk boundary (fused.rs's unit tests use the constant
+/// itself).
 const SCAN_CHUNK: usize = 256;
 
 /// `find_first`, `find_any`, `any_match`, `all_match`, `none_match`.
@@ -2270,20 +2273,22 @@ where
     (run.0, run.1, present.then_some(survivor))
 }
 
-/// Fused searches skip survivor-free chunks and replay only a chunk
-/// with a survivor, so a needle on either side of a chunk boundary (or
-/// absent) must give the sequential spec's answer on every route, and
-/// on the sequential route a `peek` observer (which keeps the
-/// element-by-element loop) sees exactly the prefix up to the hit.
+/// Fused searches skip leading survivor-free chunks and go element by
+/// element from the first chunk with a survivor, so a needle on either
+/// side of a chunk boundary (or absent) must give the sequential spec's
+/// answer on every route, and on the sequential route a `peek` observer
+/// (which keeps the element-by-element loop) sees exactly the prefix up
+/// to the hit. A filtering chain is not SIZED, so a parallel run splits
+/// it at most to the depth cap (32 leaves on two workers): over 64
+/// chunks every parallel leaf is at least two chunks wide, and the
+/// boundary at `SCAN_CHUNK` falls inside a leaf there too.
 #[test]
 fn fused_search_chunk_scan_agrees_with_spec() {
     let _shared = shared();
-    let n = 8 * SCAN_CHUNK;
+    let n = 64 * SCAN_CHUNK;
     let list = powerlist::tabulate(n, |i| 3 * i as i64 + 1).unwrap();
     let data = list.as_slice().to_vec();
-    let par = ExecConfig::par()
-        .with_pool(Arc::new(forkjoin::ForkJoinPool::new(2)))
-        .with_leaf_size(SCAN_CHUNK / 2);
+    let par = ExecConfig::par().with_pool(Arc::new(forkjoin::ForkJoinPool::new(2)));
     let c = SCAN_CHUNK;
     let positions = [
         Some(0),
