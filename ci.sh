@@ -48,80 +48,47 @@ cargo run --release --example polynomial 16 | tee /dev/stderr >"$POLY_LOG"
 grep -q "run report JSON: valid" "$POLY_LOG"
 grep -q "mapped pipeline route: fused_borrow" "$POLY_LOG"
 
-echo "==> smoke: split-policy A/B bench emits validated rows"
-# The bin strict-validates every row against the JSON validator and
-# exits non-zero on a malformed document; grep pins all three rows so
-# a silently skipped workload also fails.
-SPLIT_LOG=target/ci-splitpolicy.log
-RUSTFLAGS="$BENCH_RUSTFLAGS" \
-cargo run --release -p plbench --bin split_policy -- --runs 1 --exp 10 \
-    --out-dir target/ci-splitpolicy | tee /dev/stderr >"$SPLIT_LOG"
-grep -c "wrote target/ci-splitpolicy/BENCH_splitpolicy_" "$SPLIT_LOG" | grep -qx 3
-
-echo "==> smoke: try_collect happy path measured against legacy collect"
-# The reduce row A/Bs the fault-tolerant session path against the
-# legacy infallible collect on the same pool/policy; pin that both the
-# printed line and the persisted JSON field exist so the comparison
+echo "==> smoke: the six A/B ablation bins append validated rows to one ledger"
+# Every bin asserts its own contracts in-process and panics (non-zero
+# exit) when one breaks: route splits (fused, placement), value
+# agreement across the arms of each row, pruning counters and the
+# front-needle gate (search), tune counters and the persisted-cache
+# reload (autotune), and the strict JSON validator on every row before
+# it is appended. The per-ablation row counts pin that no workload was
+# silently skipped. Placement runs at 2^16 with no speed gate: a ratio
+# on a 2-vCPU host swings too widely to gate on, and placement speed is
+# measured end to end by streambench's map_zip_collect workload.
+AB_DIR=target/ci-ablations
+AB_LOG=target/ci-ablations.log
+rm -rf "$AB_DIR"
+: >"$AB_LOG"
+while read -r bin rows args; do
+    # shellcheck disable=SC2086 # word splitting of the option list is intended
+    RUSTFLAGS="$BENCH_RUSTFLAGS" \
+    cargo run --release -p plbench --bin "$bin" -- $args --out-dir "$AB_DIR" \
+        </dev/null | tee /dev/stderr >>"$AB_LOG"
+    grep -c "\"ablation\":\"$bin\"" "$AB_DIR/BENCH_ledger.jsonl" | grep -qx "$rows"
+done <<'BINS'
+fused         2 --runs 1 --exp 12
+placement     2 --runs 5 --exp 16
+search       10 --runs 3 --exp 12
+split_policy  3 --runs 1 --exp 10
+autotune      2 --runs 1 --exp 12
+run_report    2 --runs 1 --exp 12
+BINS
+# The autotune bin proves run-2 cache hits and a persisted-cache reload
+# hit per workload; the search bin prints its front-needle gate.
+grep -c "run-2 cache hit OK" "$AB_LOG" | grep -qx 2
+grep -c "persisted cache reload hit OK" "$AB_LOG" | grep -qx 2
+grep -q "front-needle gate OK" "$AB_LOG"
+# The split-policy reduce row A/Bs the fault-tolerant session path
+# against the legacy infallible collect on the same pool/policy; pin
+# the printed line and both arms in the ledger, so the comparison
 # cannot silently disappear. (The <2% overhead acceptance is judged on
 # the paper-scale release run, not this 2^10 smoke input.)
-grep -q "try_collect overhead" "$SPLIT_LOG"
-grep -q '"try_overhead_ratio"' target/ci-splitpolicy/BENCH_splitpolicy_reduce.json
-
-echo "==> smoke: fused A/B bench emits validated rows with the route contract"
-# The bin asserts the route split itself (fused arm: zero cloning
-# leaves; cloning arm: zero fused leaves) and that filtered fused
-# leaves report survivor item counts; grep pins both rows so a
-# silently skipped workload also fails. (The ≥3x speedup acceptance is
-# judged on the paper-scale 2^18 release run, not this smoke input.)
-FUSED_LOG=target/ci-fused.log
-RUSTFLAGS="$BENCH_RUSTFLAGS" \
-cargo run --release -p plbench --bin fused -- --runs 1 --exp 12 \
-    --out-dir target/ci-fused | tee /dev/stderr >"$FUSED_LOG"
-grep -c "wrote target/ci-fused/BENCH_fused_" "$FUSED_LOG" | grep -qx 2
-
-echo "==> smoke: autotune bench proves run-2 cache hits + persistence reload"
-# The bin runs each workload's tuned arm twice in one process against a
-# shared PlanCache and asserts in-process that run 2 was served by the
-# installed plan (tune.hits >= 1, tune.calibrations == 0), then
-# round-trips the cache through save/load and asserts the reloaded copy
-# also hits. Every row is strict-validated before writing (the bin
-# exits non-zero otherwise); the greps pin all markers per workload so
-# a silently skipped arm also fails.
-AUTOTUNE_LOG=target/ci-autotune.log
-RUSTFLAGS="$BENCH_RUSTFLAGS" \
-cargo run --release -p plbench --bin autotune -- --runs 1 --exp 12 \
-    --out-dir target/ci-autotune | tee /dev/stderr >"$AUTOTUNE_LOG"
-grep -c "run-2 cache hit OK" "$AUTOTUNE_LOG" | grep -qx 2
-grep -c "persisted cache reload hit OK" "$AUTOTUNE_LOG" | grep -qx 2
-grep -c "wrote target/ci-autotune/BENCH_autotune_" "$AUTOTUNE_LOG" | grep -qx 2
-
-echo "==> smoke: short-circuiting search bench gates the front-needle speedup"
-# The bin plants needles across sweep positions, asserts the plobs
-# pruning contract in-process (late needles record Found cancellations
-# + pruned subtrees, absent needles record neither), and with
-# --min-front-speedup gates that a front needle beats the full-drain
-# baseline — the short-circuit must stay visible even at smoke sizes.
-# The greps pin both artifact rows so a silently skipped sweep fails.
-SEARCH_LOG=target/ci-search.log
-RUSTFLAGS="$BENCH_RUSTFLAGS" \
-cargo run --release -p plbench --bin search -- --runs 3 --exp 12 \
-    --min-front-speedup 3 --out-dir target/ci-search | tee /dev/stderr >"$SEARCH_LOG"
-grep -q "wrote target/ci-search/BENCH_search_any.json" "$SEARCH_LOG"
-grep -q "wrote target/ci-search/BENCH_search_findfirst.json" "$SEARCH_LOG"
-
-echo "==> smoke: placement A/B bench emits rows and keeps the route contract"
-# The bin asserts the route contract in-process (placement arm: >= 1
-# placed leaf and zero splice combines; splice arm: zero placed leaves)
-# and both arms must agree on the collected value. No speed gate here:
-# a min-of-5 ratio on a 2-vCPU host swings too widely to gate on, and
-# placement speed is measured end to end by streambench's
-# map_zip_collect workload.
-PLACEMENT_LOG=target/ci-placement.log
-RUSTFLAGS="$BENCH_RUSTFLAGS" \
-cargo run --release -p plbench --bin placement -- --runs 5 --exp 16 \
-    --out-dir target/ci-placement | tee /dev/stderr >"$PLACEMENT_LOG"
-grep -q "wrote target/ci-placement/BENCH_placement_tovec.json" "$PLACEMENT_LOG"
-grep -q "wrote target/ci-placement/BENCH_placement_powerlist.json" "$PLACEMENT_LOG"
+grep -q "try_collect overhead" "$AB_LOG"
+grep '"ablation":"split_policy","bench":"reduce"' "$AB_DIR/BENCH_ledger.jsonl" \
+    | grep -q '"name":"collect".*"name":"try_collect"'
 
 echo "==> structural: one split-tree walker"
 # The stop rule's pool probe, pool submission and the fork-join `join`

@@ -1,95 +1,49 @@
-//! Emits `BENCH_autotune_*.json` A/B rows: self-tuned execution
-//! (cold calibration, then warm cache hits) against the fixed-policy
-//! candidate grid.
+//! Ablation G: self-tuned execution (cold calibration, then warm cache
+//! hits) against the fixed-policy candidate grid.
 //!
 //! ```text
 //! autotune [--runs R] [--exp K] [--out-dir DIR]
 //! ```
 //!
-//! Two rows are produced, one per workload shape:
+//! Appends two `plbench.ab.v1` rows to the ledger (see `plbench::ab`),
+//! one per workload shape (default `2^18`):
 //!
-//! * `BENCH_autotune_reduce.json` — a uniform-cost reduce at `2^K`
-//!   (default 2^18).
-//! * `BENCH_autotune_fused_poly.json` — a fused map+reduce polynomial
-//!   kernel (an LCG spin per element driven by the element value), the
-//!   shape the adapter-fusion leaf route accelerates.
+//! * `reduce` — a uniform-cost reduce.
+//! * `fused_poly` — a fused map+reduce polynomial kernel (an LCG spin
+//!   per element driven by the element value), the shape the
+//!   adapter-fusion leaf route accelerates.
 //!
-//! Each workload runs four arms:
+//! Each row has these arms, all on the global pool:
 //!
-//! 1. **fixed grid** — every fixed candidate from
+//! 1. **`fixed_<leaf>`**, one per fixed candidate from
 //!    [`pltune::candidate_policies`] plus a deliberately pathological
 //!    `Fixed(1)` (split down to single elements). The best and worst of
 //!    these bound what tuning can achieve; the acceptance criteria are
-//!    `warm_vs_best_ratio ≤ 1.1` (a cache hit is within 10% of the best
-//!    fixed policy) and `warm_vs_worst_speedup ≥ 1.3` (it beats the
-//!    worst fixed candidate by ≥1.3×), judged on the paper-scale
-//!    release run.
-//! 2. **cold** — a fresh [`PlanCache`] per run, so every run pays the
-//!    first-sight calibration sweep. The embedded `cold_report` proves
-//!    it (`tune.calibrations == 1`).
-//! 3. **warm** — one shared cache, primed once, then timed: every run
-//!    is a cache hit. The embedded `warm_report` proves run 2+ skipped
-//!    calibration (`tune.hits ≥ 1`, `tune.calibrations == 0`) and the
-//!    bin asserts it in-process (the `run-2 cache hit OK` marker the CI
-//!    gate greps).
-//! 4. **persisted** — the warm cache round-trips through
-//!    [`PlanCache::save`]/[`PlanCache::load`] and the reloaded copy
-//!    serves a hit without recalibrating — the cross-process story.
+//!    warm ÷ best fixed ≤ 1.1 (a cache hit is within 10% of the best
+//!    fixed policy) and worst fixed ÷ warm ≥ 1.3, judged on the
+//!    paper-scale release run.
+//! 2. **`cold`** — a fresh [`PlanCache`] per call, so every call pays
+//!    the first-sight calibration sweep. Its report proves it
+//!    (`tune.calibrations == 1`).
+//! 3. **`warm`** — one shared cache, primed once before timing: every
+//!    call is a cache hit. Its report proves it (`tune.hits ≥ 1`,
+//!    `tune.calibrations == 0`) and the bin asserts it in-process (the
+//!    `run-2 cache hit OK` marker).
 //!
-//! Every row is checked against the strict JSON validator before being
-//! written. Timings are honest wall-clock averages on the build
-//! machine.
+//! `extra.winner` is the policy the warm cache installed. Last, the
+//! warm cache round-trips through [`PlanCache::save`]/[`PlanCache::load`]
+//! at a temporary path and the reloaded copy must serve a hit without
+//! recalibrating — the cross-process story (the `persisted cache
+//! reload hit OK` marker).
 
 use forkjoin::SplitPolicy;
 use jstreams::{stream_support, SliceSpliterator};
-use plbench::{ms, time_avg, PAPER_RUNS};
-use plobs::RunReport;
+use plbench::ab::{Ablation, Arm};
 use pltune::PlanCache;
-use std::io::Write;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Spin iterations per element of the fused polynomial kernel.
 const POLY_ITERS: u64 = 8;
-
-struct Args {
-    runs: usize,
-    exp: u32,
-    out_dir: PathBuf,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        runs: PAPER_RUNS,
-        exp: 18,
-        out_dir: PathBuf::from("."),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--runs" => {
-                args.runs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--runs needs an integer");
-            }
-            "--exp" => {
-                args.exp = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--exp needs an integer");
-            }
-            "--out-dir" => {
-                args.out_dir = PathBuf::from(it.next().expect("--out-dir needs a path"));
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
 
 /// A fixed-point LCG spin: `iters` dependent multiply-adds, so the
 /// optimiser cannot elide the work and cost scales linearly with
@@ -104,89 +58,67 @@ fn spin(iters: u64, seed: u64) -> u64 {
     x
 }
 
-/// One timed fixed-policy arm: `(leaf_size, avg_ms)`.
-struct FixedArm {
-    leaf: usize,
-    avg_ms: f64,
-}
-
-/// Times the workload under every fixed candidate leaf size (2 warm-ups
-/// per arm, then the run average).
-fn fixed_grid(
-    runs: usize,
-    leaves: &[usize],
-    mut f: impl FnMut(SplitPolicy) -> u64,
-) -> Vec<FixedArm> {
-    leaves
-        .iter()
-        .map(|&leaf| {
-            let policy = SplitPolicy::Fixed(leaf);
-            for _ in 0..2 {
-                f(policy);
-            }
-            let (_, t) = time_avg(runs, || f(policy));
-            FixedArm {
-                leaf,
-                avg_ms: ms(t),
-            }
-        })
-        .collect()
-}
-
-/// The result of the tuned arms of one workload.
-struct TunedArms {
-    cold_ms: f64,
-    warm_ms: f64,
-    cold_report: RunReport,
-    warm_report: RunReport,
-    winner: SplitPolicy,
-}
-
-/// Runs the cold arm (fresh cache per run — every run calibrates) and
-/// the warm arm (one shared cache — every timed run hits), asserting
-/// the deterministic tune-counter facts in-process.
-fn tuned_arms(
+/// Measures one workload — `fixed(policy)` runs it under a fixed
+/// policy, `tuned(cache)` under auto-tuning from `cache` — and appends
+/// its row, asserting the tune counters and the persistence reload.
+fn run<R: PartialEq + std::fmt::Debug>(
+    ab: &Ablation,
     bench: &str,
-    runs: usize,
-    mut f: impl FnMut(Arc<PlanCache>) -> u64,
-) -> (Arc<PlanCache>, TunedArms) {
-    // Cold: a fresh cache every run, so each collect pays first-sight
-    // calibration. Warm the pool itself first with a throwaway cache.
-    f(Arc::new(PlanCache::new()));
-    let (_, t_cold) = time_avg(runs, || f(Arc::new(PlanCache::new())));
-    let ((), cold_report) = plobs::recorded(|| {
-        f(Arc::new(PlanCache::new()));
-    });
-    assert_eq!(
-        cold_report.tune_calibrations, 1,
-        "{bench}: a cold cache must calibrate exactly once"
-    );
-
-    // Warm: prime one shared cache (run 1 calibrates), then every
-    // further run must be served by the installed plan.
+    leaves: &[usize],
+    fixed: impl Fn(SplitPolicy) -> R,
+    tuned: impl Fn(Arc<PlanCache>) -> R,
+) {
+    // Warm: prime one shared cache (run 1 calibrates), so that every
+    // further call is served by the installed plan.
     let cache = Arc::new(PlanCache::new());
-    let ((), prime_report) = plobs::recorded(|| {
-        f(Arc::clone(&cache));
-    });
+    let (_, prime) = plobs::recorded(|| tuned(Arc::clone(&cache)));
     assert_eq!(
-        prime_report.tune_calibrations, 1,
+        prime.tune_calibrations, 1,
         "{bench}: priming run must calibrate"
     );
-    for _ in 0..2 {
-        f(Arc::clone(&cache));
-    }
-    let (_, t_warm) = time_avg(runs, || f(Arc::clone(&cache)));
-    let ((), warm_report) = plobs::recorded(|| {
-        f(Arc::clone(&cache));
-    });
+
+    let fixed = &fixed;
+    let mut arms: Vec<Arm<R>> = (leaves.iter())
+        .map(|&leaf| {
+            Arm::new(format!("fixed_{leaf}"), move || {
+                fixed(SplitPolicy::Fixed(leaf))
+            })
+        })
+        .collect();
+    // Cold: a fresh cache every call, so each collect pays first-sight
+    // calibration.
+    arms.push(Arm::new("cold", || tuned(Arc::new(PlanCache::new()))).recorded());
+    arms.push(Arm::new("warm", || tuned(Arc::clone(&cache))).recorded());
+    let arms = ab.measure(arms);
+
+    let (cold, warm) = (arms[leaves.len()].report(), arms[leaves.len() + 1].report());
+    assert_eq!(
+        cold.tune_calibrations, 1,
+        "{bench}: a cold cache must calibrate exactly once"
+    );
     assert!(
-        warm_report.tune_hits >= 1 && warm_report.tune_calibrations == 0,
-        "{bench}: warmed cache must hit without recalibrating: {warm_report:?}"
+        warm.tune_hits >= 1 && warm.tune_calibrations == 0,
+        "{bench}: warmed cache must hit without recalibrating: {warm:?}"
     );
     println!(
         "{bench}: run-2 cache hit OK (hits={}, calibrations=0)",
-        warm_report.tune_hits
+        warm.tune_hits
     );
+
+    // Persistence: the reloaded copy of the warm cache must hit too.
+    let path = std::env::temp_dir().join(format!(
+        "plbench_autotune_plan_cache_{bench}_{}.json",
+        std::process::id()
+    ));
+    cache.save(&path).expect("persist plan cache");
+    let reloaded = PlanCache::load(&path).expect("reload plan cache");
+    let _ = std::fs::remove_file(&path);
+    let (_, report) = plobs::recorded(|| tuned(Arc::new(reloaded)));
+    assert!(
+        report.tune_hits >= 1 && report.tune_calibrations == 0,
+        "{bench}: a reloaded cache must hit without recalibrating: {report:?}"
+    );
+    println!("{bench}: persisted cache reload hit OK");
 
     let winner = cache
         .ready_entries()
@@ -194,134 +126,16 @@ fn tuned_arms(
         .expect("warm cache holds the installed plan")
         .1
         .policy;
-    (
-        cache,
-        TunedArms {
-            cold_ms: ms(t_cold),
-            warm_ms: ms(t_warm),
-            cold_report,
-            warm_report,
-            winner,
-        },
-    )
-}
-
-/// Round-trips `cache` through save/load and proves the reloaded copy
-/// serves a hit without recalibrating (the cross-process persistence
-/// story), returning the persisted path.
-fn persistence_check(
-    bench: &str,
-    out_dir: &PathBuf,
-    cache: &PlanCache,
-    mut f: impl FnMut(Arc<PlanCache>) -> u64,
-) -> PathBuf {
-    std::fs::create_dir_all(out_dir)
-        .unwrap_or_else(|e| panic!("cannot create {}: {e}", out_dir.display()));
-    let path = out_dir.join(format!("autotune_plan_cache_{bench}.json"));
-    cache.save(&path).expect("persist plan cache");
-    let reloaded = Arc::new(PlanCache::load(&path).expect("reload plan cache"));
-    let ((), report) = plobs::recorded(|| {
-        f(Arc::clone(&reloaded));
-    });
-    assert!(
-        report.tune_hits >= 1 && report.tune_calibrations == 0,
-        "{bench}: a reloaded cache must hit without recalibrating: {report:?}"
-    );
-    println!(
-        "{bench}: persisted cache reload hit OK ({})",
-        path.display()
-    );
-    path
-}
-
-/// Renders one `plbench.autotune.v1` row.
-#[allow(clippy::too_many_arguments)]
-fn row_json(
-    bench: &str,
-    n: usize,
-    runs: usize,
-    threads: usize,
-    grid: &[FixedArm],
-    arms: &TunedArms,
-) -> String {
-    let best = grid
-        .iter()
-        .min_by(|a, b| a.avg_ms.total_cmp(&b.avg_ms))
-        .expect("non-empty grid");
-    let worst = grid
-        .iter()
-        .max_by(|a, b| a.avg_ms.total_cmp(&b.avg_ms))
-        .expect("non-empty grid");
-    let mut fixed = String::from("[");
-    for (i, arm) in grid.iter().enumerate() {
-        if i > 0 {
-            fixed.push(',');
-        }
-        fixed.push_str(&format!(
-            "{{\"leaf\":{},\"ms\":{:.6}}}",
-            arm.leaf, arm.avg_ms
-        ));
-    }
-    fixed.push(']');
-    format!(
-        concat!(
-            "{{\"schema\":\"plbench.autotune.v1\",\"bench\":\"{}\",\"n\":{},\"runs\":{},",
-            "\"threads\":{},\"fixed_arms\":{},",
-            "\"best_fixed_leaf\":{},\"best_fixed_ms\":{:.6},",
-            "\"worst_fixed_leaf\":{},\"worst_fixed_ms\":{:.6},",
-            "\"cold_ms\":{:.6},\"warm_ms\":{:.6},",
-            "\"warm_vs_best_ratio\":{:.6},\"warm_vs_worst_speedup\":{:.6},",
-            "\"winner\":\"{}\",",
-            "\"cold_report\":{},\"warm_report\":{}}}"
-        ),
-        bench,
-        n,
-        runs,
-        threads,
-        fixed,
-        best.leaf,
-        best.avg_ms,
-        worst.leaf,
-        worst.avg_ms,
-        arms.cold_ms,
-        arms.warm_ms,
-        arms.warm_ms / best.avg_ms.max(1e-12),
-        worst.avg_ms / arms.warm_ms.max(1e-12),
-        plobs::json::escape(&format!("{:?}", arms.winner)),
-        arms.cold_report.to_json(),
-        arms.warm_report.to_json()
-    )
-}
-
-fn write_row(out_dir: &PathBuf, name: &str, row: &str) {
-    if let Err(e) = plobs::json::validate(row) {
-        eprintln!("malformed autotune row for {name}: {e}");
-        std::process::exit(1);
-    }
-    std::fs::create_dir_all(out_dir)
-        .unwrap_or_else(|e| panic!("cannot create {}: {e}", out_dir.display()));
-    let path = out_dir.join(name);
-    let mut file = std::fs::File::create(&path)
-        .unwrap_or_else(|e| panic!("cannot create {}: {e}", path.display()));
-    writeln!(file, "{row}").expect("write row");
-    println!("wrote {}", path.display());
-}
-
-fn print_arms(label: &str, grid: &[FixedArm], arms: &TunedArms) {
-    println!("\n{label}:");
-    for arm in grid {
-        println!("  fixed leaf {:>8}: {:.3} ms", arm.leaf, arm.avg_ms);
-    }
-    println!(
-        "  cold (calibrating) {:.3} ms | warm (cache hit) {:.3} ms | winner {:?}",
-        arms.cold_ms, arms.warm_ms, arms.winner
+    ab.append(
+        &ab.row(bench, arms)
+            .extra_str("winner", &format!("{winner:?}")),
     );
 }
 
 fn main() {
-    let args = parse_args();
-    let n = 1usize << args.exp;
-    let threads = num_cpus::get();
+    let threads = forkjoin::global_pool().threads();
+    let ab = Ablation::from_args("autotune", 18, threads);
+    let n = ab.n();
     // The tuner's own fixed candidates, plus a deliberately pathological
     // single-element leaf as the grid's worst case: the split overhead
     // it pays per element is exactly what a tuned plan avoids.
@@ -335,53 +149,44 @@ fn main() {
     if !leaves.contains(&1) {
         leaves.push(1);
     }
-    println!(
-        "autotune: n = 2^{} = {n}, {} runs per arm, {} threads, fixed grid {leaves:?}",
-        args.exp, args.runs, threads
-    );
+    println!("autotune: fixed grid {leaves:?}");
 
     // Workload 1: uniform-cost reduce.
     let ints: Vec<i64> = (0..n as i64)
         .map(|i| i.wrapping_mul(0x9E37) % 1009)
         .collect();
-    let data = ints.clone();
-    let grid = fixed_grid(args.runs, &leaves, move |policy| {
-        stream_support(SliceSpliterator::new(data.clone()), true)
-            .with_split_policy(policy)
-            .reduce(0i64, |a, b| a + b) as u64
-    });
-    let data = ints.clone();
-    let tuned_reduce = move |cache: Arc<PlanCache>| {
-        stream_support(SliceSpliterator::new(data.clone()), true)
-            .with_auto_tuning(cache)
-            .reduce(0i64, |a, b| a + b) as u64
-    };
-    let (cache, arms) = tuned_arms("reduce", args.runs, tuned_reduce.clone());
-    persistence_check("reduce", &args.out_dir, &cache, tuned_reduce);
-    print_arms("uniform reduce", &grid, &arms);
-    let row = row_json("reduce", n, args.runs, threads, &grid, &arms);
-    write_row(&args.out_dir, "BENCH_autotune_reduce.json", &row);
+    let stream = || stream_support(SliceSpliterator::new(ints.clone()), true);
+    run(
+        &ab,
+        "reduce",
+        &leaves,
+        |policy| {
+            stream()
+                .with_split_policy(policy)
+                .reduce(0i64, |a, b| a + b)
+        },
+        |cache| stream().with_auto_tuning(cache).reduce(0i64, |a, b| a + b),
+    );
 
     // Workload 2: fused polynomial kernel — map(spin) + reduce, the
     // shape the adapter-fusion leaf route runs without cloning drains.
     let work: Vec<u64> = (0..n as u64).collect();
-    let data = work.clone();
-    let grid = fixed_grid(args.runs, &leaves, move |policy| {
-        stream_support(SliceSpliterator::new(data.clone()), true)
-            .with_split_policy(policy)
-            .map(|x| spin(POLY_ITERS, x))
-            .reduce(0u64, |a, b| a.wrapping_add(b))
-    });
-    let data = work.clone();
-    let tuned_poly = move |cache: Arc<PlanCache>| {
-        stream_support(SliceSpliterator::new(data.clone()), true)
-            .with_auto_tuning(cache)
-            .map(|x| spin(POLY_ITERS, x))
-            .reduce(0u64, |a, b| a.wrapping_add(b))
-    };
-    let (cache, arms) = tuned_arms("fused_poly", args.runs, tuned_poly.clone());
-    persistence_check("fused_poly", &args.out_dir, &cache, tuned_poly);
-    print_arms("fused poly", &grid, &arms);
-    let row = row_json("fused_poly", n, args.runs, threads, &grid, &arms);
-    write_row(&args.out_dir, "BENCH_autotune_fused_poly.json", &row);
+    let stream = || stream_support(SliceSpliterator::new(work.clone()), true);
+    run(
+        &ab,
+        "fused_poly",
+        &leaves,
+        |policy| {
+            stream()
+                .with_split_policy(policy)
+                .map(|x| spin(POLY_ITERS, x))
+                .reduce(0u64, |a, b| a.wrapping_add(b))
+        },
+        |cache| {
+            stream()
+                .with_auto_tuning(cache)
+                .map(|x| spin(POLY_ITERS, x))
+                .reduce(0u64, |a, b| a.wrapping_add(b))
+        },
+    );
 }

@@ -1,121 +1,39 @@
-//! Emits `BENCH_placement_*.json` A/B rows: the splice-combine collect
-//! vs the destination-passing placement route (Ablation H).
+//! Ablation H: the splice-combine collect vs the destination-passing
+//! placement route.
 //!
 //! ```text
-//! placement [--runs R] [--exp K] [--leaf L] [--out-dir DIR] [--min-speedup X]
+//! placement [--runs R] [--exp K] [--out-dir DIR]
 //! ```
 //!
-//! Two rows are produced (default `2^18`):
+//! Appends two `plbench.ab.v1` rows to the ledger (see `plbench::ab`),
+//! default `2^18` at leaf [`LEAF`], each with a `splice` and a
+//! `placement` arm and both arms' [`plobs::RunReport`]s:
 //!
-//! * `BENCH_placement_tovec.json` — `to_vec` over a shared slice
-//!   source. The splice arm runs with placement disabled
-//!   (`with_placement(false)`), so every combine splices two partial
-//!   `Vec`s; the placement arm allocates the output once at the root
-//!   and each leaf writes its disjoint window, making every combine O(1).
-//! * `BENCH_placement_powerlist.json` — the identity PowerList collect
-//!   (tie split, tie recombination) through the same A/B.
+//! * `tovec` — `to_vec` over a shared slice source. The splice arm runs
+//!   with placement disabled (`with_placement(false)`), so every combine
+//!   splices two partial `Vec`s; the placement arm allocates the output
+//!   once at the root and each leaf writes its disjoint window, making
+//!   every combine O(1).
+//! * `powerlist` — the identity PowerList collect (tie split, tie
+//!   recombination) through the same A/B.
 //!
-//! Each row carries `splice_ms` / `placement_ms` / `placement_speedup`
-//! columns plus both aggregated [`plobs::RunReport`]s, and the bin
-//! *asserts* the route contract: the placement arm records at least one
-//! placement leaf and **zero splice combines** (every recorded combine
-//! carries the placement tag), the splice arm records zero placement
-//! leaves, and both arms agree on the collected value. `--min-speedup`
-//! turns the measured ratio into an exit-code gate for CI smoke runs.
+//! The bin *asserts* the route contract: the placement arm records at
+//! least one placement leaf and **zero splice combines** (every recorded
+//! combine carries the placement tag), the splice arm records zero
+//! placement leaves, and both arms agree on the collected value.
 
 use forkjoin::ForkJoinPool;
 use jstreams::{
     stream_support, Decomposition, PowerListCollector, SliceSpliterator, TieSpliterator,
 };
-use plbench::{ms, random_ints, time_min, PAPER_RUNS};
+use plbench::ab::{Ablation, Arm};
+use plbench::random_ints;
 use plobs::RunReport;
 use powerlist::PowerList;
-use std::io::Write;
-use std::path::PathBuf;
 use std::sync::Arc;
 
-struct Args {
-    runs: usize,
-    exp: u32,
-    leaf: usize,
-    out_dir: PathBuf,
-    min_speedup: Option<f64>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        runs: PAPER_RUNS,
-        exp: 18,
-        leaf: 2048,
-        out_dir: PathBuf::from("."),
-        min_speedup: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--runs" => {
-                args.runs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--runs needs an integer");
-            }
-            "--exp" => {
-                args.exp = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--exp needs an integer");
-            }
-            "--leaf" => {
-                args.leaf = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--leaf needs an integer");
-            }
-            "--out-dir" => {
-                args.out_dir = PathBuf::from(it.next().expect("--out-dir needs a path"));
-            }
-            "--min-speedup" => {
-                args.min_speedup = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--min-speedup needs a number"),
-                );
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
-
-/// Times both arms and captures one recorded report per arm:
-/// `(splice_ms, placement_ms, splice_report, placement_report)`.
-/// Panics when the two arms disagree on the collected value.
-fn ab<R: PartialEq + std::fmt::Debug>(
-    runs: usize,
-    mut splice: impl FnMut() -> R,
-    mut placement: impl FnMut() -> R,
-) -> (f64, f64, RunReport, RunReport) {
-    // Warm caches, the allocator and the pool before either arm.
-    for _ in 0..2 {
-        let a = splice();
-        let b = placement();
-        assert_eq!(
-            a, b,
-            "splice and placement arms must compute the same value"
-        );
-    }
-    // Min-of-runs: on a shared box a single scheduling spike can
-    // poison an average, while the minimum tracks the true cost floor
-    // of each arm.
-    let (_, t_splice) = time_min(runs, &mut splice);
-    let (_, t_placement) = time_min(runs, &mut placement);
-    let (_, rep_splice) = plobs::recorded(&mut splice);
-    let (_, rep_placement) = plobs::recorded(&mut placement);
-    (ms(t_splice), ms(t_placement), rep_splice, rep_placement)
-}
+/// Leaf size of both arms: 128 leaves, a 7-level tree, at 2^18.
+const LEAF: usize = 2048;
 
 /// Asserts the route-counter contract of one A/B pair: the placement
 /// arm never splice-combines, the splice arm never places.
@@ -140,158 +58,47 @@ fn check_routes(label: &str, splice: &RunReport, placement: &RunReport) {
     );
 }
 
-fn row_json(
-    bench: &str,
-    n: usize,
-    runs: usize,
-    threads: usize,
-    (splice_ms, placement_ms): (f64, f64),
-    splice_report: &RunReport,
-    placement_report: &RunReport,
-) -> String {
-    let speedup = if placement_ms > 0.0 {
-        splice_ms / placement_ms
-    } else {
-        1.0
-    };
-    format!(
-        concat!(
-            "{{\"schema\":\"plbench.placement.v1\",\"bench\":\"{}\",\"n\":{},\"runs\":{},",
-            "\"threads\":{},",
-            "\"splice_ms\":{:.6},\"placement_ms\":{:.6},\"placement_speedup\":{:.6},",
-            "\"splice_report\":{},\"placement_report\":{}}}"
-        ),
-        bench,
-        n,
-        runs,
-        threads,
-        splice_ms,
-        placement_ms,
-        speedup,
-        splice_report.to_json(),
-        placement_report.to_json()
-    )
-}
-
-fn write_row(out_dir: &PathBuf, name: &str, row: &str) {
-    if let Err(e) = plobs::json::validate(row) {
-        eprintln!("malformed placement row for {name}: {e}");
-        std::process::exit(1);
-    }
-    std::fs::create_dir_all(out_dir)
-        .unwrap_or_else(|e| panic!("cannot create {}: {e}", out_dir.display()));
-    let path = out_dir.join(name);
-    let mut file = std::fs::File::create(&path)
-        .unwrap_or_else(|e| panic!("cannot create {}: {e}", path.display()));
-    writeln!(file, "{row}").expect("write row");
-    println!("wrote {}", path.display());
-}
-
-fn print_arm(label: &str, splice_ms: f64, placement_ms: f64, sp: &RunReport, pl: &RunReport) {
-    println!("\n{label}:");
-    println!(
-        "  splice {splice_ms:.3} ms ({} combines) | placement {placement_ms:.3} ms ({} placed leaves, {} placement combines, speedup {:.2}x)",
-        sp.combines,
-        pl.routes.placement.leaves,
-        pl.combines_placement,
-        splice_ms / placement_ms.max(1e-12),
-    );
-}
-
 fn main() {
-    let args = parse_args();
-    let n = 1usize << args.exp;
-    let threads = num_cpus::get();
-    let pool = Arc::new(ForkJoinPool::new(threads));
-    println!(
-        "placement: n = 2^{} = {n}, leaf {}, {} runs per arm, {threads} threads",
-        args.exp, args.leaf, args.runs
-    );
+    let pool = Arc::new(ForkJoinPool::new(num_cpus::get()));
+    let ab = Ablation::from_args("placement", 18, pool.threads());
 
     // One shared buffer for every arm and run, so the A/B measures
     // collect cost, not input re-copying.
-    let ints: Arc<Vec<i64>> = Arc::new(random_ints(n, 0x5EED_CAFE).into_vec());
-    let mut speedups = Vec::new();
+    let ints: Arc<Vec<i64>> = Arc::new(random_ints(ab.n(), 0x5EED_CAFE).into_vec());
 
     // Row 1: to_vec. The splice arm materialises a Vec per leaf and
     // splices pairs up the tree (each element copied once per level);
     // the placement arm writes each element exactly once.
-    let leaf = args.leaf;
-    let data = Arc::clone(&ints);
-    let p2 = Arc::clone(&pool);
-    let splice = move || {
-        stream_support(SliceSpliterator::shared(Arc::clone(&data)), true)
-            .with_pool(Arc::clone(&p2))
-            .with_leaf_size(leaf)
-            .with_placement(false)
+    let to_vec = |placement: bool| {
+        stream_support(SliceSpliterator::shared(Arc::clone(&ints)), true)
+            .with_pool(Arc::clone(&pool))
+            .with_leaf_size(LEAF)
+            .with_placement(placement)
             .to_vec()
     };
-    let data = Arc::clone(&ints);
-    let p2 = Arc::clone(&pool);
-    let placement = move || {
-        stream_support(SliceSpliterator::shared(Arc::clone(&data)), true)
-            .with_pool(Arc::clone(&p2))
-            .with_leaf_size(leaf)
-            .to_vec()
-    };
-    let (splice_ms, placement_ms, sp, pl) = ab(args.runs, splice, placement);
-    check_routes("tovec", &sp, &pl);
-    print_arm("to_vec", splice_ms, placement_ms, &sp, &pl);
-    speedups.push(("tovec", splice_ms / placement_ms.max(1e-12)));
-    let row = row_json(
-        "tovec",
-        n,
-        args.runs,
-        threads,
-        (splice_ms, placement_ms),
-        &sp,
-        &pl,
-    );
-    write_row(&args.out_dir, "BENCH_placement_tovec.json", &row);
+    let arms = ab.measure(vec![
+        Arm::new("splice", || to_vec(false)).recorded(),
+        Arm::new("placement", || to_vec(true)).recorded(),
+    ]);
+    check_routes("tovec", arms[0].report(), arms[1].report());
+    ab.append(&ab.row("tovec", arms));
 
     // Row 2: the identity PowerList collect (tie split, tie
     // recombination) — the paper's shape-preserving terminal. The view
     // is built once (Arc-backed storage), so each run splits a no-copy
     // descriptor instead of re-cloning the input list.
     let view = PowerList::from_vec(ints.as_ref().clone()).unwrap().view();
-    let v2 = view.clone();
-    let p2 = Arc::clone(&pool);
-    let splice = move || {
-        stream_support(TieSpliterator::from_view(&v2), true)
-            .with_pool(Arc::clone(&p2))
-            .with_leaf_size(leaf)
-            .with_placement(false)
-            .collect(PowerListCollector::new(Decomposition::Tie))
-    };
-    let p2 = Arc::clone(&pool);
-    let placement = move || {
+    let collect = |placement: bool| {
         stream_support(TieSpliterator::from_view(&view), true)
-            .with_pool(Arc::clone(&p2))
-            .with_leaf_size(leaf)
+            .with_pool(Arc::clone(&pool))
+            .with_leaf_size(LEAF)
+            .with_placement(placement)
             .collect(PowerListCollector::new(Decomposition::Tie))
     };
-    let (splice_ms, placement_ms, sp, pl) = ab(args.runs, splice, placement);
-    check_routes("powerlist", &sp, &pl);
-    print_arm("collect_powerlist", splice_ms, placement_ms, &sp, &pl);
-    speedups.push(("powerlist", splice_ms / placement_ms.max(1e-12)));
-    let row = row_json(
-        "powerlist",
-        n,
-        args.runs,
-        threads,
-        (splice_ms, placement_ms),
-        &sp,
-        &pl,
-    );
-    write_row(&args.out_dir, "BENCH_placement_powerlist.json", &row);
-
-    if let Some(min) = args.min_speedup {
-        for (label, s) in &speedups {
-            if *s < min {
-                eprintln!("placement gate: {label} speedup {s:.2}x < required {min:.2}x");
-                std::process::exit(1);
-            }
-        }
-        println!("\nplacement gate passed: all speedups >= {min:.2}x");
-    }
+    let arms = ab.measure(vec![
+        Arm::new("splice", || collect(false)).recorded(),
+        Arm::new("placement", || collect(true)).recorded(),
+    ]);
+    check_routes("powerlist", arms[0].report(), arms[1].report());
+    ab.append(&ab.row("powerlist", arms));
 }

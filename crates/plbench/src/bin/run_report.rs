@@ -1,195 +1,66 @@
-//! Emits `BENCH_runreport_*.json` trajectory rows from instrumented runs.
+//! The run report's price: one workload with no sink, with a do-nothing
+//! sink and under a full recorder.
 //!
 //! ```text
 //! run_report [--runs R] [--exp K] [--out-dir DIR]
 //! ```
 //!
-//! Two rows are produced, one per workload:
+//! Appends two `plbench.ab.v1` rows to the ledger (see `plbench::ab`),
+//! one per workload at `2^K` (default 2^18): `reduce`, a tie-decomposed
+//! reduce, and `polynomial`, the paper's polynomial evaluation through
+//! the parallel stream collect. Each row has three arms:
 //!
-//! * `BENCH_runreport_reduce.json` — a tie-decomposed reduce at `2^K`
-//!   (default 2^18), with the A/B overhead columns: `baseline_ms` (no
-//!   sink installed — the `plobs::enabled()` fast path), `noop_sink_ms`
-//!   (a do-nothing sink installed, paying event construction and
-//!   dispatch), and `recorded_ms` (a full [`plobs::RunRecorder`]).
-//!   The baseline/noop pair is the measured form of the
-//!   zero-cost-when-disabled contract.
-//! * `BENCH_runreport_poly.json` — the paper's polynomial evaluation
-//!   through the parallel stream collect.
+//! * `baseline` — no sink installed (the `plobs::enabled()` fast path);
+//! * `noop_sink` — a do-nothing sink installed, paying event
+//!   construction and dispatch;
+//! * `recorded` — a full [`plobs::RunRecorder`], whose aggregated
+//!   [`plobs::RunReport`] (split depth, leaf-route histogram, phase
+//!   shares, steal counts) the arm carries.
 //!
-//! Each row embeds the aggregated [`plobs::RunReport`] (split depth,
-//! leaf-route histogram, phase shares, steal counts) and is checked
-//! against the strict JSON validator before it is written, so a
-//! malformed report fails the run rather than polluting a trajectory.
+//! The baseline/noop pair is the measured form of the
+//! zero-cost-when-disabled contract.
 
 use jstreams::Decomposition;
-use plbench::{ms, random_coeffs, random_ints, time_avg, PAPER_RUNS};
-use plobs::{Event, EventSink, RunReport};
-use std::io::Write;
-use std::path::PathBuf;
+use plbench::ab::{Ablation, Arm};
+use plbench::{random_coeffs, random_ints};
+use plobs::{Event, EventSink};
 use std::sync::Arc;
 
 const EVAL_POINT: f64 = 0.9999993;
 
-/// Sink that receives every event and drops it — the "B" arm of the
-/// overhead row.
+/// Sink that receives every event and drops it.
 struct NoopSink;
 
 impl EventSink for NoopSink {
     fn record(&self, _event: &Event) {}
 }
 
-struct Args {
-    runs: usize,
-    exp: u32,
-    out_dir: PathBuf,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        runs: PAPER_RUNS,
-        exp: 18,
-        out_dir: PathBuf::from("."),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--runs" => {
-                args.runs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--runs needs an integer");
-            }
-            "--exp" => {
-                args.exp = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--exp needs an integer");
-            }
-            "--out-dir" => {
-                args.out_dir = PathBuf::from(it.next().expect("--out-dir needs a path"));
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
-
-/// One trajectory row: identification, the A/B/recorded timings, and
-/// the embedded report.
-fn row_json(
-    bench: &str,
-    n: usize,
-    runs: usize,
-    baseline_ms: f64,
-    noop_sink_ms: f64,
-    recorded_ms: f64,
-    report: &RunReport,
-) -> String {
-    let overhead = if baseline_ms > 0.0 {
-        noop_sink_ms / baseline_ms
-    } else {
-        1.0
-    };
-    format!(
-        concat!(
-            "{{\"schema\":\"plbench.runreport.v1\",\"bench\":\"{}\",\"n\":{},\"runs\":{},",
-            "\"baseline_ms\":{:.6},\"noop_sink_ms\":{:.6},\"recorded_ms\":{:.6},",
-            "\"noop_overhead_ratio\":{:.6},\"report\":{}}}"
-        ),
-        bench,
-        n,
-        runs,
-        baseline_ms,
-        noop_sink_ms,
-        recorded_ms,
-        overhead,
-        report.to_json()
-    )
-}
-
-/// Times `f` three ways — no sink, no-op sink, recorder — and returns
-/// the three averages plus the recorded report.
-fn abx<R>(runs: usize, mut f: impl FnMut() -> R) -> (f64, f64, f64, RunReport) {
-    // Warm caches and the allocator so the first arm is not charged
-    // for one-time costs.
-    for _ in 0..2 {
-        f();
-    }
-    let (_, baseline) = time_avg(runs, &mut f);
-    // The no-op sink still exercises the full emit path (timestamping,
-    // event construction, dynamic dispatch).
-    plobs::install(Arc::new(NoopSink));
-    let (_, noop) = time_avg(runs, &mut f);
-    plobs::uninstall();
-    let mut recorded_total = 0.0f64;
-    let mut report = RunReport::default();
-    for _ in 0..runs {
-        let t0 = std::time::Instant::now();
-        let (_, r) = plobs::recorded(&mut f);
-        recorded_total += t0.elapsed().as_secs_f64() * 1e3;
-        report = r;
-    }
-    (ms(baseline), ms(noop), recorded_total / runs as f64, report)
-}
-
-fn write_row(out_dir: &PathBuf, name: &str, row: &str) {
-    if let Err(e) = plobs::json::validate(row) {
-        eprintln!("malformed RunReport row for {name}: {e}");
-        std::process::exit(1);
-    }
-    std::fs::create_dir_all(out_dir)
-        .unwrap_or_else(|e| panic!("cannot create {}: {e}", out_dir.display()));
-    let path = out_dir.join(name);
-    let mut file = std::fs::File::create(&path)
-        .unwrap_or_else(|e| panic!("cannot create {}: {e}", path.display()));
-    writeln!(file, "{row}").expect("write row");
-    println!("wrote {}", path.display());
+/// Measures `f` in the three arms and appends its row.
+fn run<R: PartialEq + std::fmt::Debug>(ab: &Ablation, bench: &str, f: impl Fn() -> R) {
+    let mut arms = ab.measure(vec![
+        Arm::new("baseline", &f),
+        Arm::new("noop_sink", || {
+            plobs::install(Arc::new(NoopSink));
+            let v = f();
+            plobs::uninstall();
+            v
+        }),
+        Arm::new("recorded", || plobs::recorded(&f).0),
+    ]);
+    let report = plobs::recorded(&f).1;
+    println!("{}", report.tree_summary());
+    arms[2].report = Some(report);
+    ab.append(&ab.row(bench, arms));
 }
 
 fn main() {
-    let args = parse_args();
-    let n = 1usize << args.exp;
-    println!(
-        "run_report: n = 2^{} = {n}, {} runs per arm",
-        args.exp, args.runs
-    );
-
-    // Workload 1: tie reduce — the A/B overhead row.
-    let ints = random_ints(n, 0x5EED);
-    let (baseline, noop, recorded, report) = abx(args.runs, || {
+    let ab = Ablation::from_args("run_report", 18, forkjoin::global_pool().threads());
+    let ints = random_ints(ab.n(), 0x5EED);
+    run(&ab, "reduce", || {
         plalgo::reduce_stream(ints.clone(), Decomposition::Tie, 0i64, |a, b| a + b)
     });
-    println!("\nreduce 2^{}:", args.exp);
-    println!(
-        "  baseline {baseline:.3} ms | noop sink {noop:.3} ms (ratio {:.3}) | recorded {recorded:.3} ms",
-        noop / baseline.max(1e-12)
-    );
-    println!("{}", report.tree_summary());
-    let row = row_json("reduce", n, args.runs, baseline, noop, recorded, &report);
-    write_row(&args.out_dir, "BENCH_runreport_reduce.json", &row);
-
-    // Workload 2: the paper's polynomial evaluation.
-    let coeffs = random_coeffs(n, 0xC0FFEE);
-    let (baseline, noop, recorded, report) = abx(args.runs, || {
+    let coeffs = random_coeffs(ab.n(), 0xC0FFEE);
+    run(&ab, "polynomial", || {
         plalgo::eval_par_stream(coeffs.clone(), EVAL_POINT)
     });
-    println!("\npolynomial 2^{}:", args.exp);
-    println!(
-        "  baseline {baseline:.3} ms | noop sink {noop:.3} ms (ratio {:.3}) | recorded {recorded:.3} ms",
-        noop / baseline.max(1e-12)
-    );
-    println!("{}", report.tree_summary());
-    let row = row_json(
-        "polynomial",
-        n,
-        args.runs,
-        baseline,
-        noop,
-        recorded,
-        &report,
-    );
-    write_row(&args.out_dir, "BENCH_runreport_poly.json", &row);
 }

@@ -1,174 +1,48 @@
-//! Emits `BENCH_search_{any,findfirst}.json`: short-circuiting search
-//! terminals vs a full-drain equivalent, swept over needle positions.
+//! Short-circuiting search terminals vs a full-drain equivalent, swept
+//! over needle positions.
 //!
 //! ```text
-//! search [--runs R] [--exp K] [--out-dir DIR] [--min-front-speedup X]
+//! search [--runs R] [--exp K] [--out-dir DIR]
 //! ```
 //!
-//! * `BENCH_search_any.json` — `any_match(x == NEEDLE)` vs the
-//!   full-drain spelling `filter(x == NEEDLE).count() > 0`, with the
-//!   needle planted at the front, early (n/16), middle (n/2) and late
-//!   (13n/16) positions, plus an absent row. The absent row also times
-//!   a plain `reduce` over the same buffer and records
-//!   `absent_overhead_ratio = search_ms / reduce_ms` — the price of the
-//!   search driver's checkpoints when nothing ever short-circuits.
-//! * `BENCH_search_findfirst.json` — `filter(x == NEEDLE).find_first()`
-//!   vs draining `filter(..).to_vec()` and taking the head, same sweep.
+//! Appends one `plbench.ab.v1` row (see `plbench::ab`) per terminal and
+//! needle position — front, early (n/16), middle (n/2), late (13n/16)
+//! and absent, named in the row's `extra.position` — ten rows in all,
+//! default `2^18`:
+//!
+//! * `any_match` — `any_match(x == NEEDLE)` (`search` arm) vs the
+//!   full-drain spelling `filter(x == NEEDLE).count() > 0` (`drain`
+//!   arm). The absent row adds a plain `reduce` over the same buffer
+//!   (`reduce` arm): against it, the search arm prices the search
+//!   driver's checkpoints when nothing ever short-circuits.
+//! * `find_first` — `filter(x == NEEDLE).find_first()` vs draining
+//!   `filter(..).to_vec()` and taking the head, same sweep.
 //!
 //! The bin asserts the observability contract on recorded runs: a
-//! mid-or-later needle must record `Found` cancellations (for
-//! `any_match`) and at least one pruned subtree (`early_exits` ≥ 1,
-//! `leaves_pruned` ≥ 1), while the absent row must record none. With
-//! `--min-front-speedup X` it additionally gates
-//! `front_speedup ≥ X` (the ci.sh smoke gate passes 3).
+//! mid-or-later needle must record at least one pruned subtree
+//! (`early_exits` ≥ 1, `leaves_pruned` ≥ 1), `any_match` must record one
+//! `Found` cancellation per pruned subtree, and an absent needle must
+//! record neither. It also gates that a front needle answers
+//! `any_match` at least [`MIN_FRONT_SPEEDUP`]× faster than the full
+//! drain: the short-circuit must stay visible even at smoke sizes.
 
 use forkjoin::ForkJoinPool;
 use jstreams::{stream_support, SliceSpliterator};
-use plbench::{ms, random_ints, time_min, PAPER_RUNS};
+use plbench::ab::{Ablation, Arm};
+use plbench::random_ints;
 use plobs::RunReport;
-use std::io::Write;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Outside `random_ints`' value range (−1 000 000‥1 000 000), so a
 /// buffer contains the needle exactly where we plant it.
 const NEEDLE: i64 = 2_000_000;
 
-struct Args {
-    runs: usize,
-    exp: u32,
-    out_dir: PathBuf,
-    min_front_speedup: f64,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        runs: PAPER_RUNS,
-        exp: 18,
-        out_dir: PathBuf::from("."),
-        min_front_speedup: 0.0,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--runs" => {
-                args.runs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--runs needs an integer");
-            }
-            "--exp" => {
-                args.exp = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--exp needs an integer");
-            }
-            "--out-dir" => {
-                args.out_dir = PathBuf::from(it.next().expect("--out-dir needs a path"));
-            }
-            "--min-front-speedup" => {
-                args.min_front_speedup = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--min-front-speedup needs a number");
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
-
-/// Times the search and full-drain arms and records one report each:
-/// `(search_ms, drain_ms, search_report, drain_report)`. Panics when the
-/// arms disagree.
-fn ab<R: PartialEq + std::fmt::Debug>(
-    runs: usize,
-    want_prunes: bool,
-    mut search: impl FnMut() -> R,
-    mut drain: impl FnMut() -> R,
-) -> (f64, f64, RunReport, RunReport) {
-    for _ in 0..2 {
-        let a = search();
-        let b = drain();
-        assert_eq!(a, b, "search and full-drain arms must agree");
-    }
-    // Minimum-of-runs: a front-needle arm finishes in microseconds, so
-    // a single scheduler preemption would dominate an average.
-    let (_, t_search) = time_min(runs, &mut search);
-    let (_, t_drain) = time_min(runs, &mut drain);
-    // Whether subtrees are still pending when the short-circuit fires
-    // is schedule-dependent; when the sweep position should prune, keep
-    // the report of the first schedule that did (bounded retries).
-    let mut rep_search = plobs::recorded(&mut search).1;
-    if want_prunes {
-        for _ in 0..20 {
-            if rep_search.early_exits >= 1 {
-                break;
-            }
-            rep_search = plobs::recorded(&mut search).1;
-        }
-    }
-    let (_, rep_drain) = plobs::recorded(&mut drain);
-    (ms(t_search), ms(t_drain), rep_search, rep_drain)
-}
-
-/// One sweep entry as a JSON object.
-#[allow(clippy::too_many_arguments)]
-fn sweep_entry(
-    pos: &str,
-    needle_index: Option<usize>,
-    found: bool,
-    search_ms: f64,
-    drain_ms: f64,
-    search_report: &RunReport,
-    drain_report: &RunReport,
-) -> String {
-    format!(
-        concat!(
-            "{{\"pos\":\"{}\",\"needle_index\":{},\"found\":{},",
-            "\"search_ms\":{:.6},\"drain_ms\":{:.6},\"speedup\":{:.6},",
-            "\"search_report\":{},\"drain_report\":{}}}"
-        ),
-        pos,
-        needle_index.map_or_else(|| "null".to_string(), |i| i.to_string()),
-        found,
-        search_ms,
-        drain_ms,
-        drain_ms / search_ms.max(1e-12),
-        search_report.to_json(),
-        drain_report.to_json()
-    )
-}
-
-fn write_row(out_dir: &PathBuf, name: &str, row: &str) {
-    if let Err(e) = plobs::json::validate(row) {
-        eprintln!("malformed search row for {name}: {e}");
-        std::process::exit(1);
-    }
-    std::fs::create_dir_all(out_dir)
-        .unwrap_or_else(|e| panic!("cannot create {}: {e}", out_dir.display()));
-    let path = out_dir.join(name);
-    let mut file = std::fs::File::create(&path)
-        .unwrap_or_else(|e| panic!("cannot create {}: {e}", path.display()));
-    writeln!(file, "{row}").expect("write row");
-    println!("wrote {}", path.display());
-}
-
-/// Clones the base buffer and plants the needle (if any).
-fn plant(base: &[i64], at: Option<usize>) -> Arc<Vec<i64>> {
-    let mut v = base.to_vec();
-    if let Some(i) = at {
-        v[i] = NEEDLE;
-    }
-    Arc::new(v)
-}
+/// The smallest drain ÷ search ratio a front needle may show.
+const MIN_FRONT_SPEEDUP: f64 = 3.0;
 
 /// The sweep positions: label → planted index (None = absent).
-fn positions(n: usize) -> Vec<(&'static str, Option<usize>)> {
-    vec![
+fn positions(n: usize) -> [(&'static str, Option<usize>); 5] {
+    [
         ("front", Some(0)),
         ("early", Some(n / 16)),
         ("middle", Some(n / 2)),
@@ -182,10 +56,24 @@ fn positions(n: usize) -> Vec<(&'static str, Option<usize>)> {
     ]
 }
 
+/// Records the search arm. Whether subtrees are still pending when the
+/// short-circuit fires is schedule-dependent; when the needle should
+/// prune, keep the report of the first schedule that did (bounded
+/// retries).
+fn record_search<R>(want_prunes: bool, search: impl Fn() -> R) -> RunReport {
+    let mut rep = plobs::recorded(&search).1;
+    for _ in 0..20 {
+        if !want_prunes || rep.early_exits >= 1 {
+            break;
+        }
+        rep = plobs::recorded(&search).1;
+    }
+    rep
+}
+
 /// Asserts the pruning observability contract for one sweep entry.
 fn check_pruning(bench: &str, pos: &str, planted: Option<usize>, n: usize, rep: &RunReport) {
-    let late_enough = planted.is_some_and(|i| i >= n / 2);
-    if late_enough {
+    if planted.is_some_and(|i| i >= n / 2) {
         assert!(
             rep.early_exits >= 1,
             "{bench}/{pos}: a needle at {planted:?} must prune subtrees, got {rep:?}"
@@ -208,16 +96,12 @@ fn check_pruning(bench: &str, pos: &str, planted: Option<usize>, n: usize, rep: 
 }
 
 fn main() {
-    let args = parse_args();
-    let n = 1usize << args.exp;
-    // A single worker drains leaves in pure depth-first encounter
-    // order, which is fine: the late needle sits at 13n/16 so the tail
-    // subtrees behind it still get pruned at their entry checkpoints,
-    // and oversubscribing a small box would only let leaves run out of
-    // encounter order (a front needle could then fire after most of the
-    // buffer had already been scanned, destroying the measurement).
-    let threads = num_cpus::get();
-    let pool = Arc::new(ForkJoinPool::new(threads));
+    // Each worker drains its leaves in depth-first encounter order; the
+    // late needle sits at 13n/16 so the tail subtrees behind it still
+    // get pruned at their entry checkpoints.
+    let pool = Arc::new(ForkJoinPool::new(num_cpus::get()));
+    let ab = Ablation::from_args("search", 18, pool.threads());
+    let n = ab.n();
     // Pin the leaf grid so the sweep positions mean the same thing on
     // every box: the default policy scales leaves with the thread count
     // (a 1-thread pool would carve 2^18 into just 4 leaves, putting the
@@ -225,162 +109,61 @@ fn main() {
     // to prune). 64 leaves keep every planted position strictly inside
     // the tree.
     let leaf = (n / 64).max(64);
-    println!(
-        "search: n = 2^{} = {n}, {} runs per arm, {threads} threads",
-        args.exp, args.runs
-    );
-
     let base: Vec<i64> = random_ints(n, 0x5EED_F00D).into_vec();
 
-    // ---- BENCH_search_any.json -------------------------------------
-    let mut entries = Vec::new();
-    let mut front_speedup = 0.0;
-    let mut absent_overhead_ratio = 0.0;
-    for (pos, at) in positions(n) {
-        let data = plant(&base, at);
-        let d1 = Arc::clone(&data);
-        let p1 = Arc::clone(&pool);
-        let search = move || {
-            stream_support(SliceSpliterator::shared(Arc::clone(&d1)), true)
-                .with_pool(Arc::clone(&p1))
-                .with_leaf_size(leaf)
-                .any_match(|x: &i64| *x == NEEDLE)
-        };
-        let d2 = Arc::clone(&data);
-        let p2 = Arc::clone(&pool);
-        let drain = move || {
-            stream_support(SliceSpliterator::shared(Arc::clone(&d2)), true)
-                .with_pool(Arc::clone(&p2))
-                .with_leaf_size(leaf)
-                .filter(|x: &i64| *x == NEEDLE)
-                .count()
-                > 0
-        };
-        let late_enough = at.is_some_and(|i| i >= n / 2);
-        let (search_ms, drain_ms, rep_s, rep_d) = ab(args.runs, late_enough, search, drain);
-        check_pruning("any_match", pos, at, n, &rep_s);
-        assert_eq!(
-            rep_s.cancels_found, rep_s.early_exits,
-            "any_match/{pos}: every Found observation prunes one subtree"
-        );
-        if pos == "front" {
-            front_speedup = drain_ms / search_ms.max(1e-12);
-        }
-        if pos == "absent" {
-            // The driver's overhead when nothing short-circuits,
-            // against a plain full reduction of the same buffer.
-            let d3 = Arc::clone(&data);
-            let p3 = Arc::clone(&pool);
-            let (_, t_reduce) = time_min(args.runs, move || {
-                stream_support(SliceSpliterator::shared(Arc::clone(&d3)), true)
-                    .with_pool(Arc::clone(&p3))
+    for bench in ["any_match", "find_first"] {
+        for (pos, at) in positions(n) {
+            let mut planted = base.clone();
+            if let Some(i) = at {
+                planted[i] = NEEDLE;
+            }
+            let data = Arc::new(planted);
+            let stream = || {
+                stream_support(SliceSpliterator::shared(Arc::clone(&data)), true)
+                    .with_pool(Arc::clone(&pool))
                     .with_leaf_size(leaf)
-                    .reduce(0i64, |a, b| a.wrapping_add(b))
-            });
-            absent_overhead_ratio = search_ms / ms(t_reduce).max(1e-12);
-        }
-        println!(
-            "  any/{pos:<7} search {search_ms:>9.4} ms | drain {drain_ms:>9.4} ms | x{:.2} (pruned {} subtrees)",
-            drain_ms / search_ms.max(1e-12),
-            rep_s.early_exits
-        );
-        entries.push(sweep_entry(
-            pos,
-            at,
-            at.is_some(),
-            search_ms,
-            drain_ms,
-            &rep_s,
-            &rep_d,
-        ));
-    }
-    let row = format!(
-        concat!(
-            "{{\"schema\":\"plbench.search.v1\",\"bench\":\"any_match\",\"n\":{},",
-            "\"runs\":{},\"threads\":{},\"needle\":{},",
-            "\"front_speedup\":{:.6},\"absent_overhead_ratio\":{:.6},",
-            "\"sweep\":[{}]}}"
-        ),
-        n,
-        args.runs,
-        threads,
-        NEEDLE,
-        front_speedup,
-        absent_overhead_ratio,
-        entries.join(",")
-    );
-    write_row(&args.out_dir, "BENCH_search_any.json", &row);
-    println!(
-        "  any_match: front speedup x{front_speedup:.2}, absent overhead x{absent_overhead_ratio:.3} of plain reduce"
-    );
-    if args.min_front_speedup > 0.0 {
-        assert!(
-            front_speedup >= args.min_front_speedup,
-            "front-needle any_match speedup x{front_speedup:.2} below the x{:.2} gate",
-            args.min_front_speedup
-        );
-    }
+            };
+            let is_needle = |x: &i64| *x == NEEDLE;
+            // Every arm answers `Some(NEEDLE)` when the needle is there.
+            let search = || match bench {
+                "any_match" => stream().any_match(is_needle).then_some(NEEDLE),
+                _ => stream().filter(is_needle).find_first(),
+            };
+            let drain = || match bench {
+                "any_match" => (stream().filter(is_needle).count() > 0).then_some(NEEDLE),
+                _ => stream().filter(is_needle).to_vec().first().copied(),
+            };
+            let mut arms = vec![
+                Arm::new("search", &search),
+                Arm::new("drain", drain).recorded(),
+            ];
+            if bench == "any_match" && at.is_none() {
+                arms.push(Arm::timed("reduce", || {
+                    stream().reduce(0i64, |a, b| a.wrapping_add(b))
+                }));
+            }
+            let mut arms = ab.measure(arms);
 
-    // ---- BENCH_search_findfirst.json --------------------------------
-    let mut entries = Vec::new();
-    let mut ff_front_speedup = 0.0;
-    for (pos, at) in positions(n) {
-        let data = plant(&base, at);
-        let d1 = Arc::clone(&data);
-        let p1 = Arc::clone(&pool);
-        let search = move || {
-            stream_support(SliceSpliterator::shared(Arc::clone(&d1)), true)
-                .with_pool(Arc::clone(&p1))
-                .with_leaf_size(leaf)
-                .filter(|x: &i64| *x == NEEDLE)
-                .find_first()
-        };
-        let d2 = Arc::clone(&data);
-        let p2 = Arc::clone(&pool);
-        let drain = move || {
-            stream_support(SliceSpliterator::shared(Arc::clone(&d2)), true)
-                .with_pool(Arc::clone(&p2))
-                .with_leaf_size(leaf)
-                .filter(|x: &i64| *x == NEEDLE)
-                .to_vec()
-                .first()
-                .cloned()
-        };
-        let late_enough = at.is_some_and(|i| i >= n / 2);
-        let (search_ms, drain_ms, rep_s, rep_d) = ab(args.runs, late_enough, search, drain);
-        check_pruning("find_first", pos, at, n, &rep_s);
-        if pos == "front" {
-            ff_front_speedup = drain_ms / search_ms.max(1e-12);
+            let want_prunes = at.is_some_and(|i| i >= n / 2);
+            let rep = record_search(want_prunes, search);
+            check_pruning(bench, pos, at, n, &rep);
+            if bench == "any_match" {
+                assert_eq!(
+                    rep.cancels_found, rep.early_exits,
+                    "any_match/{pos}: every Found observation prunes one subtree"
+                );
+            }
+            arms[0].report = Some(rep);
+
+            let speedup = arms[1].ms_p50 / arms[0].ms_p50.max(1e-12);
+            if bench == "any_match" && pos == "front" {
+                assert!(
+                    speedup >= MIN_FRONT_SPEEDUP,
+                    "front-needle any_match speedup x{speedup:.2} below the x{MIN_FRONT_SPEEDUP} gate"
+                );
+                println!("front-needle gate OK: x{speedup:.1} >= x{MIN_FRONT_SPEEDUP}");
+            }
+            ab.append(&ab.row(bench, arms).extra_str("position", pos));
         }
-        println!(
-            "  first/{pos:<7} search {search_ms:>9.4} ms | drain {drain_ms:>9.4} ms | x{:.2} (pruned {} subtrees)",
-            drain_ms / search_ms.max(1e-12),
-            rep_s.early_exits
-        );
-        entries.push(sweep_entry(
-            pos,
-            at,
-            at.is_some(),
-            search_ms,
-            drain_ms,
-            &rep_s,
-            &rep_d,
-        ));
     }
-    let row = format!(
-        concat!(
-            "{{\"schema\":\"plbench.search.v1\",\"bench\":\"find_first\",\"n\":{},",
-            "\"runs\":{},\"threads\":{},\"needle\":{},",
-            "\"front_speedup\":{:.6},",
-            "\"sweep\":[{}]}}"
-        ),
-        n,
-        args.runs,
-        threads,
-        NEEDLE,
-        ff_front_speedup,
-        entries.join(",")
-    );
-    write_row(&args.out_dir, "BENCH_search_findfirst.json", &row);
-    println!("  find_first: front speedup x{ff_front_speedup:.2}");
 }

@@ -1,39 +1,37 @@
-//! Emits `BENCH_splitpolicy_*.json` A/B rows: Fixed vs Adaptive splitting.
+//! Ablation E: Fixed vs Adaptive splitting.
 //!
 //! ```text
 //! split_policy [--runs R] [--exp K] [--out-dir DIR]
 //! ```
 //!
-//! Three rows are produced, one per workload shape:
+//! Appends three `plbench.ab.v1` rows to the ledger (see `plbench::ab`),
+//! one per workload shape, each with a `fixed` and an `adaptive` arm and
+//! both arms' [`plobs::RunReport`]s; `extra.fixed_leaf_size` is the
+//! static leaf of the `fixed` arm:
 //!
-//! * `BENCH_splitpolicy_reduce.json` — a uniform-cost reduce at `2^K`
-//!   (default 2^16). Per-element cost is flat, so the static
-//!   `default_leaf_size` is already near-optimal; the adaptive policy
-//!   must stay within ~10% of it (its acceptance bound).
-//! * `BENCH_splitpolicy_poly.json` — a skewed-cost map+reduce: the
-//!   first `1/64` of the elements carry ~256× the work of the rest (a
-//!   spin kernel driven by the element value). A static leaf computed
-//!   from `n/(4·threads)` packs the whole hot prefix into a handful of
-//!   leaves; demand-driven splitting descends further while thieves are
-//!   active, spreading the hot region across more tasks.
-//! * `BENCH_splitpolicy_filtered.json` — a non-SIZED pipeline (filter
-//!   keep-half, then reduce). The size estimate is an upper bound here,
-//!   so the old size-gated recursion under-split; the row also records
-//!   each policy's split depth so the fix is visible in trajectories.
+//! * `reduce` — a uniform-cost reduce at `2^K` (default 2^16).
+//!   Per-element cost is flat, so the static `default_leaf_size` is
+//!   already near-optimal; the adaptive policy must stay within ~10% of
+//!   it (its acceptance bound). Two more arms price the fault-tolerant
+//!   session: `collect` (the legacy infallible collect) and
+//!   `try_collect` (its happy path), same pool and fixed policy.
+//! * `poly` — a skewed-cost map+reduce: the first `1/64` of the
+//!   elements carry ~256× the work of the rest (a spin kernel driven by
+//!   the element value). A static leaf computed from `n/(4·threads)`
+//!   packs the whole hot prefix into a handful of leaves; demand-driven
+//!   splitting descends further while thieves are active, spreading the
+//!   hot region across more tasks.
+//! * `filtered` — a non-SIZED pipeline (filter keep-half, then reduce).
+//!   The size estimate is an upper bound here, so the old size-gated
+//!   recursion under-split; each policy's report records its split
+//!   depth so the fix is visible in the ledger.
 //!
-//! Each row carries `fixed_ms` / `adaptive_ms` / `adaptive_ratio`
-//! columns plus both aggregated [`plobs::RunReport`]s, and is checked
-//! against the strict JSON validator before being written. Timings are
-//! honest wall-clock averages on the build machine; the skewed-cost
-//! advantage of demand-driven splitting materialises with ≥2 workers
-//! (on a 1-core builder the two arms do the same total work).
+//! The skewed-cost advantage of demand-driven splitting needs ≥2
+//! workers (with one, the two arms do the same total work).
 
 use forkjoin::{AdaptiveSplit, ForkJoinPool, SplitPolicy};
 use jstreams::{default_leaf_size, stream_support, ExecConfig, ReduceCollector, SliceSpliterator};
-use plbench::{ms, time_avg, PAPER_RUNS};
-use plobs::RunReport;
-use std::io::Write;
-use std::path::PathBuf;
+use plbench::ab::{Ablation, Arm};
 use std::sync::Arc;
 
 /// Spin iterations for the hot prefix of the skewed workload.
@@ -42,45 +40,6 @@ const HEAVY_ITERS: u64 = 512;
 const LIGHT_ITERS: u64 = 2;
 /// Fraction of the input (as a divisor) that is hot.
 const HOT_DIVISOR: usize = 64;
-
-struct Args {
-    runs: usize,
-    exp: u32,
-    out_dir: PathBuf,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        runs: PAPER_RUNS,
-        exp: 16,
-        out_dir: PathBuf::from("."),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--runs" => {
-                args.runs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--runs needs an integer");
-            }
-            "--exp" => {
-                args.exp = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--exp needs an integer");
-            }
-            "--out-dir" => {
-                args.out_dir = PathBuf::from(it.next().expect("--out-dir needs a path"));
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
 
 /// A fixed-point LCG spin: `iters` dependent multiply-adds, so the
 /// optimiser cannot elide the work and cost scales linearly with
@@ -95,97 +54,22 @@ fn spin(iters: u64, seed: u64) -> u64 {
     x
 }
 
-/// Times `f` under both policies and captures one recorded report per
-/// arm: `(fixed_ms, adaptive_ms, fixed_report, adaptive_report)`.
-fn ab<R>(
-    runs: usize,
-    mut f: impl FnMut(SplitPolicy) -> R,
-    fixed: SplitPolicy,
-    adaptive: SplitPolicy,
-) -> (f64, f64, RunReport, RunReport) {
-    // Warm caches, the allocator and the pool before either arm.
-    for _ in 0..2 {
-        f(fixed);
-        f(adaptive);
-    }
-    let (_, t_fixed) = time_avg(runs, || f(fixed));
-    let (_, t_adaptive) = time_avg(runs, || f(adaptive));
-    let (_, rep_fixed) = plobs::recorded(|| f(fixed));
-    let (_, rep_adaptive) = plobs::recorded(|| f(adaptive));
-    (ms(t_fixed), ms(t_adaptive), rep_fixed, rep_adaptive)
-}
-
-/// One trajectory row: identification, the A/B timings, and both
-/// embedded reports. `extra` carries per-workload fields (already
-/// comma-terminated JSON members, or empty).
-#[allow(clippy::too_many_arguments)]
-fn row_json(
-    bench: &str,
-    n: usize,
-    runs: usize,
-    threads: usize,
-    fixed_leaf: usize,
-    fixed_ms: f64,
-    adaptive_ms: f64,
-    extra: &str,
-    fixed_report: &RunReport,
-    adaptive_report: &RunReport,
-) -> String {
-    let ratio = if fixed_ms > 0.0 {
-        adaptive_ms / fixed_ms
-    } else {
-        1.0
-    };
-    format!(
-        concat!(
-            "{{\"schema\":\"plbench.splitpolicy.v1\",\"bench\":\"{}\",\"n\":{},\"runs\":{},",
-            "\"threads\":{},\"fixed_leaf_size\":{},",
-            "\"fixed_ms\":{:.6},\"adaptive_ms\":{:.6},\"adaptive_ratio\":{:.6},{}",
-            "\"fixed_report\":{},\"adaptive_report\":{}}}"
-        ),
-        bench,
-        n,
-        runs,
-        threads,
-        fixed_leaf,
-        fixed_ms,
-        adaptive_ms,
-        ratio,
-        extra,
-        fixed_report.to_json(),
-        adaptive_report.to_json()
-    )
-}
-
-fn write_row(out_dir: &PathBuf, name: &str, row: &str) {
-    if let Err(e) = plobs::json::validate(row) {
-        eprintln!("malformed split-policy row for {name}: {e}");
-        std::process::exit(1);
-    }
-    std::fs::create_dir_all(out_dir)
-        .unwrap_or_else(|e| panic!("cannot create {}: {e}", out_dir.display()));
-    let path = out_dir.join(name);
-    let mut file = std::fs::File::create(&path)
-        .unwrap_or_else(|e| panic!("cannot create {}: {e}", path.display()));
-    writeln!(file, "{row}").expect("write row");
-    println!("wrote {}", path.display());
-}
-
-fn print_arm(label: &str, fixed_ms: f64, adaptive_ms: f64, fx: &RunReport, ad: &RunReport) {
-    println!("\n{label}:");
-    println!(
-        "  fixed {fixed_ms:.3} ms (max depth {}) | adaptive {adaptive_ms:.3} ms (max depth {}, ratio {:.3})",
-        fx.max_split_depth(),
-        ad.max_split_depth(),
-        adaptive_ms / fixed_ms.max(1e-12),
-    );
+/// The `fixed` and `adaptive` arms of `f`, both recorded.
+fn policy_arms<'a, R: 'a>(
+    f: &'a dyn Fn(SplitPolicy) -> R,
+    [fixed, adaptive]: [SplitPolicy; 2],
+) -> Vec<Arm<'a, R>> {
+    vec![
+        Arm::new("fixed", move || f(fixed)).recorded(),
+        Arm::new("adaptive", move || f(adaptive)).recorded(),
+    ]
 }
 
 fn main() {
-    let args = parse_args();
-    let n = 1usize << args.exp;
-    let threads = num_cpus::get();
-    let pool = Arc::new(ForkJoinPool::new(threads));
+    let pool = Arc::new(ForkJoinPool::new(num_cpus::get()));
+    let threads = pool.threads();
+    let ab = Ablation::from_args("split_policy", 16, threads);
+    let n = ab.n();
     let fixed_leaf = default_leaf_size(n, threads);
     let fixed = SplitPolicy::Fixed(fixed_leaf);
     // The adaptive cutoff must sit below the static leaf or the policy
@@ -194,76 +78,39 @@ fn main() {
         min_leaf: (fixed_leaf / 4).max(1),
         ..AdaptiveSplit::default()
     });
-    println!(
-        "split_policy: n = 2^{} = {n}, {} runs per arm, {} threads, fixed leaf {fixed_leaf}",
-        args.exp, args.runs, threads
-    );
+    println!("split_policy: fixed leaf {fixed_leaf}");
+    let policies = [fixed, adaptive];
 
-    // Workload 1: uniform-cost reduce.
+    // Workload 1: uniform-cost reduce, plus the fault-tolerant session
+    // overhead on the same workload / pool / policy: the happy path of
+    // `try_collect` (session armed, checkpoints taken, no interruption)
+    // against the legacy infallible collect.
     let ints: Vec<i64> = (0..n as i64)
         .map(|i| i.wrapping_mul(0x9E37) % 1009)
         .collect();
-    let data = ints.clone();
-    let p2 = Arc::clone(&pool);
-    let (fixed_ms, adaptive_ms, fx, ad) = ab(
-        args.runs,
-        move |policy| {
-            stream_support(SliceSpliterator::new(data.clone()), true)
-                .with_pool(Arc::clone(&p2))
-                .with_split_policy(policy)
-                .reduce(0i64, |a, b| a + b)
-        },
-        fixed,
-        adaptive,
-    );
-    print_arm("uniform reduce", fixed_ms, adaptive_ms, &fx, &ad);
-
-    // Fault-tolerant session overhead, same workload / pool / policy:
-    // the happy path of `try_collect` (session armed, checkpoints
-    // taken, no interruption) against the legacy infallible collect.
-    let data = ints.clone();
-    let p2 = Arc::clone(&pool);
-    let legacy = move || {
-        stream_support(SliceSpliterator::new(data.clone()), true)
-            .with_pool(Arc::clone(&p2))
-            .with_split_policy(fixed)
+    let reduce = |policy: SplitPolicy| {
+        stream_support(SliceSpliterator::new(ints.clone()), true)
+            .with_pool(Arc::clone(&pool))
+            .with_split_policy(policy)
             .reduce(0i64, |a, b| a + b)
     };
-    let data = ints.clone();
     let try_cfg = ExecConfig::par()
         .with_pool(Arc::clone(&pool))
         .with_split_policy(fixed);
-    let tried = move || {
-        stream_support(SliceSpliterator::new(data.clone()), true)
+    let mut arms = policy_arms(&reduce, policies);
+    arms.push(Arm::new("collect", || reduce(fixed)));
+    arms.push(Arm::new("try_collect", || {
+        stream_support(SliceSpliterator::new(ints.clone()), true)
             .try_collect(ReduceCollector::new(0i64, |a, b| a + b), &try_cfg)
             .expect("happy-path try_collect")
-    };
-    for _ in 0..2 {
-        legacy();
-        tried();
-    }
-    let (_, t_legacy) = time_avg(args.runs, &legacy);
-    let (_, t_try) = time_avg(args.runs, &tried);
-    let (legacy_ms, try_ms) = (ms(t_legacy), ms(t_try));
-    let try_ratio = try_ms / legacy_ms.max(1e-12);
+    }));
+    let arms = ab.measure(arms);
+    let (collect_ms, try_ms) = (arms[2].ms_p50, arms[3].ms_p50);
     println!(
-        "  try_collect overhead: ratio {try_ratio:.4} (try {try_ms:.3} ms vs collect {legacy_ms:.3} ms)"
+        "  try_collect overhead: ratio {:.4} (try {try_ms:.3} ms vs collect {collect_ms:.3} ms)",
+        try_ms / collect_ms.max(1e-12)
     );
-    let extra = format!("\"try_collect_ms\":{try_ms:.6},\"try_overhead_ratio\":{try_ratio:.6},");
-
-    let row = row_json(
-        "reduce",
-        n,
-        args.runs,
-        threads,
-        fixed_leaf,
-        fixed_ms,
-        adaptive_ms,
-        &extra,
-        &fx,
-        &ad,
-    );
-    write_row(&args.out_dir, "BENCH_splitpolicy_reduce.json", &row);
+    ab.append(&ab.row("reduce", arms).extra("fixed_leaf_size", fixed_leaf));
 
     // Workload 2: skewed cost — a hot prefix of heavy spin elements.
     let work: Vec<u64> = (0..n)
@@ -275,66 +122,36 @@ fn main() {
             }
         })
         .collect();
-    let p2 = Arc::clone(&pool);
-    let (fixed_ms, adaptive_ms, fx, ad) = ab(
-        args.runs,
-        move |policy| {
+    let arms = ab.measure(policy_arms(
+        &|policy| {
             stream_support(SliceSpliterator::new(work.clone()), true)
-                .with_pool(Arc::clone(&p2))
+                .with_pool(Arc::clone(&pool))
                 .with_split_policy(policy)
                 .map(|iters| spin(iters, iters))
                 .reduce(0u64, |a, b| a.wrapping_add(b))
         },
-        fixed,
-        adaptive,
-    );
-    print_arm("skewed-cost poly", fixed_ms, adaptive_ms, &fx, &ad);
-    let row = row_json(
-        "poly",
-        n,
-        args.runs,
-        threads,
-        fixed_leaf,
-        fixed_ms,
-        adaptive_ms,
-        "",
-        &fx,
-        &ad,
-    );
-    write_row(&args.out_dir, "BENCH_splitpolicy_poly.json", &row);
+        policies,
+    ));
+    ab.append(&ab.row("poly", arms).extra("fixed_leaf_size", fixed_leaf));
 
     // Workload 3: filter-heavy (non-SIZED) reduce — the size estimate
     // is an upper bound, so splitting is depth-capped, not size-gated.
-    let data = ints;
-    let p2 = Arc::clone(&pool);
-    let (fixed_ms, adaptive_ms, fx, ad) = ab(
-        args.runs,
-        move |policy| {
-            stream_support(SliceSpliterator::new(data.clone()), true)
-                .with_pool(Arc::clone(&p2))
+    let arms = ab.measure(policy_arms(
+        &|policy| {
+            stream_support(SliceSpliterator::new(ints.clone()), true)
+                .with_pool(Arc::clone(&pool))
                 .with_split_policy(policy)
                 .filter(|x| x % 2 == 0)
                 .reduce(0i64, |a, b| a + b)
         },
-        fixed,
-        adaptive,
-    );
-    print_arm("filtered reduce", fixed_ms, adaptive_ms, &fx, &ad);
+        policies,
+    ));
     assert!(
-        fx.splits > 0,
+        arms[0].report().splits > 0,
         "non-SIZED filtered collect must split (old size-gated stop would not)"
     );
-    let row = row_json(
-        "filtered",
-        n,
-        args.runs,
-        threads,
-        fixed_leaf,
-        fixed_ms,
-        adaptive_ms,
-        "",
-        &fx,
-        &ad,
+    ab.append(
+        &ab.row("filtered", arms)
+            .extra("fixed_leaf_size", fixed_leaf),
     );
-    write_row(&args.out_dir, "BENCH_splitpolicy_filtered.json", &row);
 }

@@ -8,7 +8,8 @@
 //!
 //! The experiment index in DESIGN.md maps every figure/ablation to a
 //! bench target in this crate; `src/bin/figures.rs` regenerates the
-//! paper's Figure 3 and Figure 4 series directly.
+//! paper's Figure 3 and Figure 4 series directly, and the six ablation
+//! bins share one A/B harness and one ledger ([`ab`]).
 //!
 //! Build bench binaries with `RUSTFLAGS="-C target-cpu=native"` (as
 //! `ci.sh` does for its smoke invocations): baseline x86-64 codegen
@@ -17,6 +18,8 @@
 //! `[build]` default so ordinary builds stay portable.
 
 #![warn(missing_docs)]
+
+pub mod ab;
 
 use jstreams::{Characteristics, FusePipe, IdentityStage, ItemSource, LeafAccess, Spliterator};
 use powerlist::{tabulate, PowerList};
@@ -69,23 +72,6 @@ pub fn time_avg<R>(runs: usize, mut f: impl FnMut() -> R) -> (R, Duration) {
         last = Some(r);
     }
     (last.expect("runs >= 1"), total / runs as u32)
-}
-
-/// Runs `f` `runs` times and keeps the *minimum* wall time; the last
-/// result is returned for checking. The minimum is the robust estimator
-/// for short-circuiting benches on a shared or single-core box, where a
-/// single preemption inside a microsecond-scale run would otherwise
-/// dominate an average.
-pub fn time_min<R>(runs: usize, mut f: impl FnMut() -> R) -> (R, Duration) {
-    assert!(runs >= 1);
-    let mut best = Duration::MAX;
-    let mut last = None;
-    for _ in 0..runs {
-        let (r, d) = time_once(&mut f);
-        best = best.min(d);
-        last = Some(r);
-    }
-    (last.expect("runs >= 1"), best)
 }
 
 /// Milliseconds as f64, for table printing.
