@@ -118,14 +118,10 @@ impl Ablation {
     }
 
     /// A row of this ablation for the workload `bench` at size `n()`.
-    pub fn row(&self, bench: &str, arms: Vec<Measured>) -> Row {
+    pub fn row(&self, bench: &str, arms: Vec<Measured>) -> Row<'_> {
         Row {
-            ablation: self.name,
+            ab: self,
             bench: bench.to_string(),
-            n: self.n(),
-            runs: self.runs,
-            commit: self.commit.clone(),
-            threads: self.threads,
             arms,
             extra: Vec::new(),
         }
@@ -137,7 +133,7 @@ impl Ablation {
     pub fn append(&self, row: &Row) {
         let json = row.to_json();
         if let Err(e) = plobs::json::validate(&json) {
-            panic!("malformed {SCHEMA} row {}/{}: {e}", row.ablation, row.bench);
+            panic!("malformed {SCHEMA} row {}/{}: {e}", self.name, row.bench);
         }
         append_line(&self.ledger, &json);
         println!("{}", row.summary());
@@ -255,26 +251,22 @@ fn median(v: &mut [f64]) -> f64 {
 }
 
 /// One ledger row, built by [`Ablation::row`].
-pub struct Row {
-    ablation: &'static str,
+pub struct Row<'a> {
+    ab: &'a Ablation,
     bench: String,
-    n: usize,
-    runs: usize,
-    commit: String,
-    threads: usize,
     arms: Vec<Measured>,
     extra: Vec<(String, String)>,
 }
 
-impl Row {
+impl Row<'_> {
     /// Adds `key` to the row's `extra` object; `json` is a JSON value.
-    pub fn extra(mut self, key: &str, json: impl Display) -> Row {
+    pub fn extra(mut self, key: &str, json: impl Display) -> Self {
         self.extra.push((key.to_string(), json.to_string()));
         self
     }
 
     /// Adds the string `value` under `key` to the row's `extra` object.
-    pub fn extra_str(self, key: &str, value: &str) -> Row {
+    pub fn extra_str(self, key: &str, value: &str) -> Self {
         let json = format!("\"{}\"", plobs::json::escape(value));
         self.extra(key, json)
     }
@@ -288,13 +280,13 @@ impl Row {
                 "\"target_features\":\"{}\",\"arms\":["
             ),
             SCHEMA,
-            self.ablation,
+            self.ab.name,
             plobs::json::escape(&self.bench),
-            self.n,
-            self.runs,
-            plobs::json::escape(&self.commit),
+            self.ab.n(),
+            self.ab.runs,
+            plobs::json::escape(&self.ab.commit),
             nproc(),
-            self.threads,
+            self.ab.threads,
             target_features(),
         );
         for (i, arm) in self.arms.iter().enumerate() {
@@ -321,7 +313,7 @@ impl Row {
 
     /// `ablation/bench key=value: arm 1.234 ms | arm 0.567 ms`.
     fn summary(&self) -> String {
-        let mut s = format!("{}/{}", self.ablation, self.bench);
+        let mut s = format!("{}/{}", self.ab.name, self.bench);
         for (key, json) in &self.extra {
             let _ = write!(s, " {key}={json}");
         }

@@ -24,7 +24,7 @@
 //! * [`RunReport`] — the aggregate: split-depth histogram, leaf-route
 //!   histogram, phase shares (`descend_share`/`leaf_share`/
 //!   `ascend_share`), per-worker steal ratios, per-rank message counts,
-//!   and a self-describing JSON rendering for `BENCH_*.json` trajectory
+//!   and a self-describing JSON rendering for the `BENCH_ledger.jsonl`
 //!   rows.
 //!
 //! The convenience wrapper [`recorded`] serialises recording sections

@@ -40,7 +40,7 @@ fn equilibrium_leaf(policy: SplitPolicy, n: usize, cores: usize) -> usize {
 /// The candidate grid the sweep searches must contain a policy whose
 /// equilibrium granularity the model scores within 10% of its true
 /// optimum — the structural reason a sweep over the grid can find a
-/// near-best plan (the BENCH_autotune acceptance bound).
+/// near-best plan (the `autotune` ledger rows' acceptance bound).
 #[test]
 fn candidate_grid_brackets_the_model_optimum() {
     let machine = MachineModel::paper_8core();

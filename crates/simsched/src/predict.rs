@@ -102,7 +102,7 @@ pub fn adaptive_leaf_size(n: usize, cores: usize, depth_slack: u32, min_leaf: us
 /// running [`predict_poly`] at the policy's equilibrium granularity
 /// ([`adaptive_leaf_size`]). On a uniform workload the prediction
 /// differs from the default fixed policy only through leaf granularity,
-/// which is exactly what the `BENCH_splitpolicy_*` A/B rows measure.
+/// which is exactly what the `split_policy` ledger rows measure.
 pub fn predict_poly_adaptive(
     machine: &MachineModel,
     n: usize,
@@ -347,7 +347,7 @@ mod tests {
     fn adaptive_prediction_close_to_fixed_on_uniform_work() {
         // Uniform per-element cost: the adaptive equilibrium granularity
         // must land within 10% of the default fixed policy — the same
-        // bound the live BENCH_splitpolicy_reduce acceptance uses.
+        // bound the live `split_policy` reduce-row acceptance uses.
         let machine = m8();
         let n = 1 << 22;
         let fixed = predict_poly(&machine, n, None, false);
