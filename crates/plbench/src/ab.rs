@@ -197,7 +197,7 @@ impl Measured {
     }
 }
 
-/// Times `arms`: [`WARMUPS`] rounds over every arm, each checking that
+/// Times `arms`: two warm-up rounds over every arm, each checking that
 /// all arms that compute a value agree on it (panics otherwise), then
 /// `runs` timed calls per arm, whose median is kept. Arms marked
 /// [`Arm::recorded`] then run once more under a [`plobs::recorded`]
