@@ -48,16 +48,19 @@ cargo run --release --example polynomial 16 | tee /dev/stderr >"$POLY_LOG"
 grep -q "run report JSON: valid" "$POLY_LOG"
 grep -q "mapped pipeline route: fused_borrow" "$POLY_LOG"
 
-echo "==> smoke: the six A/B ablation bins append validated rows to one ledger"
+echo "==> smoke: the seven plbench bins append validated rows to one ledger"
 # Every bin asserts its own contracts in-process and panics (non-zero
 # exit) when one breaks: route splits (fused, placement), value
-# agreement across the arms of each row, pruning counters and the
+# agreement across the arms of each row (figures' tie/zip, frameworks
+# and MPI reduce routes among them), pruning counters and the
 # front-needle gate (search), tune counters and the persisted-cache
 # reload (autotune), and the strict JSON validator on every row before
-# it is appended. The per-ablation row counts pin that no workload was
-# silently skipped. Placement runs at 2^16 with no speed gate: a ratio
-# on a 2-vCPU host swings too widely to gate on, and placement speed is
-# measured end to end by streambench's map_zip_collect workload.
+# it is appended. The per-bin row counts pin that no workload was
+# silently skipped: figures writes 7 rows at each of 3 sizes plus one
+# power_sum_stride row, search 10 needle rows plus 6 density rows.
+# Placement runs at 2^16 with no speed gate: a ratio on a 2-vCPU host
+# swings too widely to gate on, and placement speed is measured end to
+# end by streambench's map_zip_collect workload.
 AB_DIR=target/ci-ablations
 AB_LOG=target/ci-ablations.log
 rm -rf "$AB_DIR"
@@ -69,9 +72,10 @@ while read -r bin rows args; do
         </dev/null | tee /dev/stderr >>"$AB_LOG"
     grep -c "\"ablation\":\"$bin\"" "$AB_DIR/BENCH_ledger.jsonl" | grep -qx "$rows"
 done <<'BINS'
+figures      22 --runs 1 --exp 12
 fused         2 --runs 1 --exp 12
 placement     2 --runs 5 --exp 16
-search       10 --runs 3 --exp 12
+search       16 --runs 3 --exp 12
 split_policy  3 --runs 1 --exp 10
 autotune      2 --runs 1 --exp 12
 run_report    2 --runs 1 --exp 12
@@ -109,7 +113,7 @@ echo "==> structural: one borrowed-run shape"
 # accessor and one kernel, a contiguous run is step 1, and plobs reports
 # one `zero_copy` route. A contiguous twin (or the dead peek adapter)
 # coming back fails here.
-BORROW_DIRS=$(ls -d crates/*/src crates/*/tests crates/*/examples crates/*/benches \
+BORROW_DIRS=$(ls -d crates/*/src crates/*/tests crates/*/examples \
     src tests examples 2>/dev/null)
 # shellcheck disable=SC2086 # word splitting of the directory list is intended
 if grep -rnE --include='*.rs' \

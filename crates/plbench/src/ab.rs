@@ -1,9 +1,9 @@
 //! One A/B harness and one ledger for the ablation bins.
 //!
-//! Every ablation bin (`fused`, `placement`, `search`, `split_policy`,
+//! Every bin (`figures`, `fused`, `placement`, `search`, `split_policy`,
 //! `autotune`, `run_report`) times two or more *arms* of one workload
-//! and appends one row per workload to [`LEDGER`], one JSON object per
-//! line under the [`SCHEMA`] schema:
+//! and appends one row per workload and size to [`LEDGER`], one JSON
+//! object per line under the [`SCHEMA`] schema:
 //!
 //! ```text
 //! {"schema":"plbench.ab.v1","ablation":"fused","bench":"mapreduce",
@@ -104,6 +104,9 @@ impl Ablation {
         if ab.runs == 0 {
             return Err("--runs must be at least 1".into());
         }
+        if 1usize.checked_shl(ab.exp).is_none() {
+            return Err(format!("--exp {} overflows a usize size", ab.exp));
+        }
         Ok(ab)
     }
 
@@ -117,11 +120,12 @@ impl Ablation {
         measure(self.runs, arms)
     }
 
-    /// A row of this ablation for the workload `bench` at size `n()`.
-    pub fn row(&self, bench: &str, arms: Vec<Measured>) -> Row<'_> {
+    /// A row of this ablation for the workload `bench` at size `n`.
+    pub fn row(&self, bench: &str, n: usize, arms: Vec<Measured>) -> Row<'_> {
         Row {
             ab: self,
             bench: bench.to_string(),
+            n,
             arms,
             extra: Vec::new(),
         }
@@ -254,6 +258,7 @@ fn median(v: &mut [f64]) -> f64 {
 pub struct Row<'a> {
     ab: &'a Ablation,
     bench: String,
+    n: usize,
     arms: Vec<Measured>,
     extra: Vec<(String, String)>,
 }
@@ -282,7 +287,7 @@ impl Row<'_> {
             SCHEMA,
             self.ab.name,
             plobs::json::escape(&self.bench),
-            self.ab.n(),
+            self.n,
             self.ab.runs,
             plobs::json::escape(&self.ab.commit),
             nproc(),
@@ -313,7 +318,7 @@ impl Row<'_> {
 
     /// `ablation/bench key=value: arm 1.234 ms | arm 0.567 ms`.
     fn summary(&self) -> String {
-        let mut s = format!("{}/{}", self.ab.name, self.bench);
+        let mut s = format!("{}/{} n={}", self.ab.name, self.bench, self.n);
         for (key, json) in &self.extra {
             let _ = write!(s, " {key}={json}");
         }
@@ -420,12 +425,18 @@ mod tests {
         assert!(parse(&["--leaf", "2048"]).is_err());
         assert!(parse(&["--runs"]).is_err());
         assert!(parse(&["--runs", "0"]).is_err());
+        // 1 << 64 and 1 << 70 would wrap to sizes 1 and 64 in release builds.
+        for exp in ["63", "64", "70"] {
+            assert_eq!(parse(&["--exp", exp]).is_ok(), exp == "63", "--exp {exp}");
+        }
     }
 
     #[test]
     fn a_row_validates_and_carries_the_envelope() {
         let ab = scratch("envelope");
-        let row = ab.row("sum", two_arms(&ab)).extra_str("position", "front");
+        let row = ab
+            .row("sum", 64, two_arms(&ab))
+            .extra_str("position", "front");
         let json = row.to_json();
         plobs::json::validate(&json).unwrap();
         let v = parse(&json).unwrap();
@@ -445,6 +456,7 @@ mod tests {
             assert!(v.get(key).is_some(), "missing {key} in {json}");
         }
         assert_eq!(v.get("schema").and_then(Value::as_str), Some(SCHEMA));
+        assert_eq!(v.get("n").and_then(Value::as_u64), Some(64));
         assert_eq!(v.get("threads").and_then(Value::as_u64), Some(2));
         let arms = v.get("arms").and_then(Value::as_array).unwrap();
         assert_eq!(arms.len(), 3);
@@ -462,7 +474,7 @@ mod tests {
         let ab = scratch("disagree");
         let run = std::panic::catch_unwind(|| {
             let arms = ab.measure(vec![Arm::new("one", || 1), Arm::new("two", || 2)]);
-            ab.append(&ab.row("bad", arms));
+            ab.append(&ab.row("bad", ab.n(), arms));
         });
         assert!(run.is_err());
         assert!(lines(&ab).is_empty());
@@ -471,8 +483,8 @@ mod tests {
     #[test]
     fn two_appends_give_two_parsable_lines() {
         let ab = scratch("append");
-        ab.append(&ab.row("first", two_arms(&ab)));
-        ab.append(&ab.row("second", two_arms(&ab)).extra("leaf", 64));
+        ab.append(&ab.row("first", ab.n(), two_arms(&ab)));
+        ab.append(&ab.row("second", ab.n(), two_arms(&ab)).extra("leaf", 64));
         let lines = lines(&ab);
         assert_eq!(lines.len(), 2);
         for (line, bench) in lines.iter().zip(["first", "second"]) {

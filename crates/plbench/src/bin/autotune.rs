@@ -1,5 +1,6 @@
 //! Ablation G: self-tuned execution (cold calibration, then warm cache
-//! hits) against the fixed-policy candidate grid.
+//! hits) against the untuned default and the fixed-policy candidate
+//! grid.
 //!
 //! ```text
 //! autotune [--runs R] [--exp K] [--out-dir DIR]
@@ -16,16 +17,19 @@
 //! Each row has these arms, all on the global pool:
 //!
 //! 1. **`fixed_<leaf>`**, one per fixed candidate from
-//!    [`pltune::candidate_policies`] plus a deliberately pathological
-//!    `Fixed(1)` (split down to single elements). The best and worst of
-//!    these bound what tuning can achieve; the acceptance criteria are
-//!    warm ÷ best fixed ≤ 1.1 (a cache hit is within 10% of the best
-//!    fixed policy) and worst fixed ÷ warm ≥ 1.3, judged on the
-//!    paper-scale release run.
-//! 2. **`cold`** — a fresh [`PlanCache`] per call, so every call pays
+//!    [`pltune::candidate_policies`] other than the default leaf, plus a
+//!    deliberately pathological `Fixed(1)` (split down to single
+//!    elements). The best and worst of these bound what tuning can
+//!    achieve; the acceptance criteria are warm ÷ best fixed ≤ 1.1 (a
+//!    cache hit is within 10% of the best fixed policy) and worst fixed
+//!    ÷ warm ≥ 1.3, judged on the paper-scale release run.
+//! 2. **`default`** — no policy and no tuner: what an untuned caller
+//!    runs, the fixed default leaf [`jstreams::default_leaf_size`].
+//!    Warm ÷ default is what tuning buys such a caller.
+//! 3. **`cold`** — a fresh [`PlanCache`] per call, so every call pays
 //!    the first-sight calibration sweep. Its report proves it
 //!    (`tune.calibrations == 1`).
-//! 3. **`warm`** — one shared cache, primed once before timing: every
+//! 4. **`warm`** — one shared cache, primed once before timing: every
 //!    call is a cache hit. Its report proves it (`tune.hits ≥ 1`,
 //!    `tune.calibrations == 0`) and the bin asserts it in-process (the
 //!    `run-2 cache hit OK` marker).
@@ -58,14 +62,15 @@ fn spin(iters: u64, seed: u64) -> u64 {
     x
 }
 
-/// Measures one workload — `fixed(policy)` runs it under a fixed
-/// policy, `tuned(cache)` under auto-tuning from `cache` — and appends
-/// its row, asserting the tune counters and the persistence reload.
+/// Measures one workload — `fixed(Some(policy))` runs it under a fixed
+/// policy, `fixed(None)` with no policy, `tuned(cache)` under
+/// auto-tuning from `cache` — and appends its row, asserting the tune
+/// counters and the persistence reload.
 fn run<R: PartialEq + std::fmt::Debug>(
     ab: &Ablation,
     bench: &str,
     leaves: &[usize],
-    fixed: impl Fn(SplitPolicy) -> R,
+    fixed: impl Fn(Option<SplitPolicy>) -> R,
     tuned: impl Fn(Arc<PlanCache>) -> R,
 ) {
     // Warm: prime one shared cache (run 1 calibrates), so that every
@@ -81,17 +86,21 @@ fn run<R: PartialEq + std::fmt::Debug>(
     let mut arms: Vec<Arm<R>> = (leaves.iter())
         .map(|&leaf| {
             Arm::new(format!("fixed_{leaf}"), move || {
-                fixed(SplitPolicy::Fixed(leaf))
+                fixed(Some(SplitPolicy::Fixed(leaf)))
             })
         })
         .collect();
+    arms.push(Arm::new("default", || fixed(None)));
     // Cold: a fresh cache every call, so each collect pays first-sight
     // calibration.
     arms.push(Arm::new("cold", || tuned(Arc::new(PlanCache::new()))).recorded());
     arms.push(Arm::new("warm", || tuned(Arc::clone(&cache))).recorded());
     let arms = ab.measure(arms);
 
-    let (cold, warm) = (arms[leaves.len()].report(), arms[leaves.len() + 1].report());
+    let (cold, warm) = (
+        arms[leaves.len() + 1].report(),
+        arms[leaves.len() + 2].report(),
+    );
     assert_eq!(
         cold.tune_calibrations, 1,
         "{bench}: a cold cache must calibrate exactly once"
@@ -127,7 +136,7 @@ fn run<R: PartialEq + std::fmt::Debug>(
         .1
         .policy;
     ab.append(
-        &ab.row(bench, arms)
+        &ab.row(bench, ab.n(), arms)
             .extra_str("winner", &format!("{winner:?}")),
     );
 }
@@ -136,15 +145,18 @@ fn main() {
     let threads = forkjoin::global_pool().threads();
     let ab = Ablation::from_args("autotune", 18, threads);
     let n = ab.n();
-    // The tuner's own fixed candidates, plus a deliberately pathological
+    // The tuner's own fixed candidates but the default leaf (the
+    // `default` arm runs it), plus a deliberately pathological
     // single-element leaf as the grid's worst case: the split overhead
     // it pays per element is exactly what a tuned plan avoids.
+    let default_leaf = jstreams::default_leaf_size(n, threads);
     let mut leaves: Vec<usize> = pltune::candidate_policies(n, threads)
         .into_iter()
         .filter_map(|p| match p {
             SplitPolicy::Fixed(leaf) => Some(leaf),
             SplitPolicy::Adaptive(_) => None,
         })
+        .filter(|&leaf| leaf != default_leaf)
         .collect();
     if !leaves.contains(&1) {
         leaves.push(1);
@@ -160,10 +172,9 @@ fn main() {
         &ab,
         "reduce",
         &leaves,
-        |policy| {
-            stream()
-                .with_split_policy(policy)
-                .reduce(0i64, |a, b| a + b)
+        |policy| match policy {
+            Some(p) => stream().with_split_policy(p).reduce(0i64, |a, b| a + b),
+            None => stream().reduce(0i64, |a, b| a + b),
         },
         |cache| stream().with_auto_tuning(cache).reduce(0i64, |a, b| a + b),
     );
@@ -177,9 +188,12 @@ fn main() {
         "fused_poly",
         &leaves,
         |policy| {
-            stream()
-                .with_split_policy(policy)
-                .map(|x| spin(POLY_ITERS, x))
+            let s = stream();
+            let s = match policy {
+                Some(p) => s.with_split_policy(p),
+                None => s,
+            };
+            s.map(|x| spin(POLY_ITERS, x))
                 .reduce(0u64, |a, b| a.wrapping_add(b))
         },
         |cache| {

@@ -1,228 +1,224 @@
-//! Regenerates the paper's evaluation figures.
+//! The paper's Figures 3–4 and the ablations its discussion motivates,
+//! as ledger rows.
 //!
 //! ```text
-//! figures fig3 [--jvm-artifact] [--measure-max-exp K] [--runs R]
-//! figures fig4 [--jvm-artifact] [--measure-max-exp K] [--runs R]
-//! figures mpi    [--runs R]
-//! figures tiezip [--runs R]
-//! figures all
+//! figures [--runs R] [--exp K] [--out-dir DIR]
 //! ```
 //!
-//! Every figure prints **two** series:
+//! Appends `plbench.ab.v1` rows (see `plbench::ab`) at the log₂ sizes
+//! `K−4`, `K−2` and `K` (default `K` = 24: 2^20, 2^22, 2^24), one row
+//! per workload and size, all parallel arms on the host's cores:
 //!
-//! * `measured` — real wall-clock on this host (both the sequential
-//!   stream baseline and the parallel PowerList collect actually run;
-//!   on a 1-core container the parallel side cannot win, which the
-//!   output says explicitly);
-//! * `simulated-8-core` — the calibrated cost-model prediction from the
-//!   `simsched` crate, which is the series whose *shape* reproduces the
-//!   paper's 8-core plots (see DESIGN.md's substitution table).
+//! * `poly` — Figures 3–4 and Ablation D: polynomial evaluation as the
+//!   sequential stream (`seq`), the paper's hooked zip collect on the
+//!   JVM's task tree (`par`), the tupled tie collect (`tupled`), the
+//!   JPLF fork-join executor on `vp` and on the tupled function (`jplf`,
+//!   `tupled_jplf`), `horner`, and the indexed map+sum loop that
+//!   recomputes `x^i` per element (`hand_map_sum`). `extra.sim8` and
+//!   `extra.sim8_jit_dip` hold the `simsched` 8-core prediction at the
+//!   row's size, without and with the modelled JIT anomaly at 2^24.
+//! * `tiezip_map`, `tiezip_reduce` — Ablation A: the collect-based map
+//!   and reduce over a tie and a zip decomposition (`tie`, `zip`);
+//!   `tiezip_map`'s `extra.sim8_ms` holds the 8-core cost model.
+//! * `frameworks_reduce`, `frameworks_map` — Ablation B: the JPLF
+//!   executor (`jplf`), the streams collect (`stream`), the collect over
+//!   a source that hides its borrowed runs (`stream_cloning`, reduce)
+//!   and the sequential specification (`spec_seq`, map).
+//! * `mpi_vp`, `mpi_reduce` — the MPI ablation: the simulated-MPI
+//!   executor at 1, 2, 4 and 8 ranks (`ranks_<r>`) beside the sequential
+//!   executor (`sequential`); `mpi_vp`'s `extra.sim8_speedup` holds the
+//!   cost model's speedup at each rank count.
 //!
-//! The paper sweeps polynomial degrees 2^20..2^26 with 5-run averages;
-//! `--measure-max-exp` caps the *measured* sweep (default 22) so the
-//! harness completes in sensible time on small hosts, while the
-//! simulated series always covers the full 2^20..2^26 range.
+//! One `power_sum_stride` row at `2^K` runs the `power_sum` leaf kernel
+//! over one span at steps 1, 2, 4 and 8 (`step_<s>`): Ablation A's
+//! strided traffic.
+//!
+//! Arms that compute one exact value are checked against each other
+//! before timing; floating-point arms are only timed.
 
-use plbench::{ms, random_coeffs, time_avg, PAPER_RUNS};
-use simsched::{predict_poly, MachineModel};
+use forkjoin::ForkJoinPool;
+use jplf::{Decomp, Executor, ForkJoinExecutor, MpiExecutor, SequentialExecutor};
+use jstreams::{stream_support, Decomposition, ReduceCollector, TieSpliterator};
+use plalgo::{ReduceFunction, TupledVp, VpFunction};
+use plbench::ab::{Ablation, Arm};
+use plbench::{random_coeffs, random_ints, Opaque};
+use simsched::{predict_poly, MachineModel, PolyPrediction};
 use std::sync::Arc;
 
-const LO_EXP: u32 = 20;
-const HI_EXP: u32 = 26;
 const EVAL_POINT: f64 = 0.9999993;
 
-struct Args {
-    command: String,
-    jvm_artifact: bool,
-    measure_max_exp: u32,
-    runs: usize,
+/// The rank counts of the MPI rows.
+const RANKS: [usize; 4] = [1, 2, 4, 8];
+
+/// A prediction as a JSON object.
+fn sim_json(p: &PolyPrediction) -> String {
+    format!(
+        "{{\"seq_ms\":{:.4},\"par_ms\":{:.4},\"speedup\":{:.4}}}",
+        p.seq_ms, p.par_ms, p.speedup
+    )
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        command: "all".to_string(),
-        jvm_artifact: false,
-        measure_max_exp: 22,
-        runs: PAPER_RUNS,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "fig3" | "fig4" | "mpi" | "tiezip" | "all" => args.command = a,
-            "--jvm-artifact" => args.jvm_artifact = true,
-            "--measure-max-exp" => {
-                args.measure_max_exp = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--measure-max-exp needs an integer");
-            }
-            "--runs" => {
-                args.runs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--runs needs an integer");
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
-
-/// Measured sequential/parallel times at size `n` (averaged).
-fn measure(n: usize, runs: usize) -> (f64, f64) {
+fn poly(ab: &Ablation, pool: &Arc<ForkJoinPool>, n: usize) {
     let coeffs = random_coeffs(n, 0xC0FFEE);
-    let pool = Arc::new(forkjoin::ForkJoinPool::with_default_parallelism());
-    let (_, seq) = time_avg(runs, || plalgo::eval_seq_stream(coeffs.clone(), EVAL_POINT));
-    // The JVM's tree (~4 leaves per worker), not the splice route's
-    // one-parity-leaf-per-worker default: Figure 3 reproduces the paper's
-    // task tree.
-    let leaf = jstreams::default_leaf_size(n, pool.threads());
-    let (_, par) = time_avg(runs, || {
-        plalgo::eval_par_stream_with(
-            coeffs.clone(),
-            EVAL_POINT,
-            Some(Arc::clone(&pool)),
-            Some(leaf),
-        )
-    });
-    (ms(seq), ms(par))
-}
-
-fn header(title: &str) {
-    println!();
-    println!("== {title} ==");
-}
-
-fn fig3(args: &Args) {
-    header("Figure 3: speedup of the parallel execution (seq_time / par_time)");
-    println!(
-        "host: {} core(s); measured series capped at 2^{}; simulated series: 8 cores (paper machine)",
-        num_cpus::get(),
-        args.measure_max_exp
-    );
-    println!(
-        "{:>6}  {:>16}  {:>20}",
-        "n", "measured speedup", "simulated-8c speedup"
-    );
-    let machine = MachineModel::paper_8core();
-    for k in LO_EXP..=HI_EXP {
-        let n = 1usize << k;
-        let sim = predict_poly(&machine, n, None, args.jvm_artifact);
-        let measured = if k <= args.measure_max_exp {
-            let (seq, par) = measure(n, args.runs);
-            format!("{:>16.2}", seq / par)
-        } else {
-            format!("{:>16}", "-")
-        };
-        println!("2^{k:<4}  {measured}  {:>20.2}", sim.speedup);
-    }
-    if args.jvm_artifact {
-        println!(
-            "note: --jvm-artifact models the paper's observed JIT anomaly at 2^24 \
-             (sequential ~3x faster than at 2^23)"
-        );
-    }
-}
-
-fn fig4(args: &Args) {
-    header("Figure 4: execution times (ms) for sequential and parallel executions");
-    println!(
-        "{:>6}  {:>12} {:>12}  {:>14} {:>14}",
-        "n", "meas seq", "meas par", "sim-8c seq", "sim-8c par"
-    );
-    let machine = MachineModel::paper_8core();
-    for k in LO_EXP..=HI_EXP {
-        let n = 1usize << k;
-        let sim = predict_poly(&machine, n, None, args.jvm_artifact);
-        let (mseq, mpar) = if k <= args.measure_max_exp {
-            let (s, p) = measure(n, args.runs);
-            (format!("{s:>12.2}"), format!("{p:>12.2}"))
-        } else {
-            (format!("{:>12}", "-"), format!("{:>12}", "-"))
-        };
-        println!(
-            "2^{k:<4}  {mseq} {mpar}  {:>14.2} {:>14.2}",
-            sim.seq_ms, sim.par_ms
-        );
-    }
-}
-
-fn mpi(args: &Args) {
-    header("MPI ablation: simulated-rank scaling of the vp function (Section III claim)");
-    let n = 1usize << 18;
-    let coeffs = random_coeffs(n, 0xBEEF);
     let view = coeffs.clone().view();
-    use jplf::Executor;
-    let baseline = {
-        let (_, d) = time_avg(args.runs, || {
-            jplf::SequentialExecutor::new().execute(&plalgo::VpFunction::new(EVAL_POINT), &view)
-        });
-        ms(d)
-    };
-    println!("n = 2^18; sequential executor: {baseline:.2} ms");
-    println!(
-        "{:>6}  {:>12}  {:>18}",
-        "ranks", "meas ms", "sim-8c speedup"
-    );
+    // The JVM's tree (~4 leaves per worker), not the splice route's
+    // one-parity-leaf-per-worker default: the `par` arm reproduces the
+    // paper's task tree.
+    let leaf = jstreams::default_leaf_size(n, pool.threads());
+    let exec = ForkJoinExecutor::with_pool(Arc::clone(pool), (n / 16).max(1));
+    let slice = coeffs.as_slice();
+    let arms = ab.measure::<()>(vec![
+        Arm::timed("seq", || {
+            plalgo::eval_seq_stream(coeffs.clone(), EVAL_POINT)
+        }),
+        Arm::timed("par", || {
+            let pool = Some(Arc::clone(pool));
+            plalgo::eval_par_stream_with(coeffs.clone(), EVAL_POINT, pool, Some(leaf))
+        }),
+        Arm::timed("tupled", || {
+            plalgo::eval_tupled_stream(coeffs.clone(), EVAL_POINT)
+        }),
+        Arm::timed("jplf", || exec.execute(&VpFunction::new(EVAL_POINT), &view)),
+        Arm::timed("tupled_jplf", || {
+            exec.execute(&TupledVp::new(EVAL_POINT), &view)
+        }),
+        Arm::timed("horner", || plalgo::horner(slice, EVAL_POINT)),
+        Arm::timed("hand_map_sum", || {
+            (slice.iter().enumerate())
+                .map(|(i, &a)| a * EVAL_POINT.powi(i as i32))
+                .sum::<f64>()
+        }),
+    ]);
     let machine = MachineModel::paper_8core();
-    for ranks in [1usize, 2, 4, 8] {
-        let exec = jplf::MpiExecutor::new(ranks);
-        let (_, d) = time_avg(args.runs, || {
-            exec.execute(&plalgo::VpFunction::new(EVAL_POINT), &view)
-        });
-        let sim = predict_poly(&machine.with_cores(ranks), n, None, false);
-        println!("{ranks:>6}  {:>12.2}  {:>18.2}", ms(d), sim.speedup);
-    }
+    let row = ab
+        .row("poly", n, arms)
+        .extra("sim8", sim_json(&predict_poly(&machine, n, None, false)))
+        .extra(
+            "sim8_jit_dip",
+            sim_json(&predict_poly(&machine, n, None, true)),
+        );
+    ab.append(&row);
 }
 
-fn tiezip(args: &Args) {
-    header("Ablation A: tie vs zip decomposition for a collect-based map");
-    let model = simsched::MapCostModel::default();
-    println!(
-        "{:>6}  {:>12} {:>12}  {:>14} {:>14}",
-        "n", "meas tie ms", "meas zip ms", "sim-8c tie ms", "sim-8c zip ms"
-    );
-    for k in [16u32, 18, 20] {
-        let n = 1usize << k;
-        let data = plbench::random_ints(n, 0xA11CE);
-        use jstreams::Decomposition;
-        let (_, tie) = time_avg(args.runs, || {
+fn power_sum_stride(ab: &Ablation, n: usize) {
+    let coeffs = random_coeffs(n, 0xC0FFEE);
+    let arms = [1usize, 2, 4, 8]
+        .into_iter()
+        .map(|step| {
+            let run = &coeffs.as_slice()[..(n / step).saturating_sub(1) * step + 1];
+            Arm::timed(format!("step_{step}"), move || {
+                plalgo::power_sum(run, step, EVAL_POINT)
+            })
+        })
+        .collect();
+    ab.append(&ab.row("power_sum_stride", n, ab.measure::<()>(arms)));
+}
+
+fn tiezip(ab: &Ablation, n: usize) {
+    let data = random_ints(n, 0xA11CE);
+    let arms = ab.measure(vec![
+        Arm::new("tie", || {
             plalgo::map_stream(data.clone(), Decomposition::Tie, |x| x * 3 + 1)
-        });
-        let (_, zip) = time_avg(args.runs, || {
+        }),
+        Arm::new("zip", || {
             plalgo::map_stream(data.clone(), Decomposition::Zip, |x| x * 3 + 1)
-        });
-        let (sim_tie, sim_zip) = simsched::predict_map_collect(8, n, n / 32, &model);
-        println!(
-            "2^{k:<4}  {:>12.2} {:>12.2}  {:>14.2} {:>14.2}",
-            ms(tie),
-            ms(zip),
-            sim_tie,
-            sim_zip
-        );
-    }
-    println!(
-        "tie leaves are contiguous (linear distribution); zip leaves are strided residue classes"
+        }),
+    ]);
+    let model = simsched::MapCostModel::default();
+    let (tie, zip) = simsched::predict_map_collect(8, n, (n / 32).max(1), &model);
+    let sim = format!("{{\"tie\":{tie:.4},\"zip\":{zip:.4}}}");
+    ab.append(&ab.row("tiezip_map", n, arms).extra("sim8_ms", sim));
+
+    let arms = ab.measure(
+        [("tie", Decomposition::Tie), ("zip", Decomposition::Zip)]
+            .into_iter()
+            .map(|(name, d)| {
+                let data = &data;
+                Arm::new(name, move || {
+                    plalgo::reduce_stream(data.clone(), d, 0i64, |a, b| a + b)
+                })
+            })
+            .collect(),
     );
+    ab.append(&ab.row("tiezip_reduce", n, arms));
+}
+
+fn frameworks(ab: &Ablation, pool: &Arc<ForkJoinPool>, n: usize) {
+    let data = random_ints(n, 0xA11CE);
+    let view = data.clone().view();
+    let exec = ForkJoinExecutor::with_pool(Arc::clone(pool), (n / 16).max(1));
+    let reduce_fn = ReduceFunction::new(Decomp::Tie, |a: &i64, b: &i64| a + b);
+    let arms = ab.measure(vec![
+        Arm::new("jplf", || exec.execute(&reduce_fn, &view)),
+        Arm::new("stream", || {
+            plalgo::reduce_stream(data.clone(), Decomposition::Tie, 0, |a, b| a + b)
+        }),
+        Arm::new("stream_cloning", || {
+            stream_support(Opaque(TieSpliterator::over(data.clone())), true)
+                .with_pool(Arc::clone(pool))
+                .collect(ReduceCollector::new(0i64, |a, b| a + b))
+        }),
+    ]);
+    ab.append(&ab.row("frameworks_reduce", n, arms));
+
+    let map_fn = plalgo::MapFunction::new(Decomp::Tie, |x: &i64| x * 2 + 1);
+    let arms = ab.measure(vec![
+        Arm::new("jplf", || exec.execute(&map_fn, &view)),
+        Arm::new("stream", || {
+            plalgo::map_stream(data.clone(), Decomposition::Tie, |x| x * 2 + 1)
+        }),
+        Arm::new("spec_seq", || powerlist::ops::map(&data, |x| x * 2 + 1)),
+    ]);
+    ab.append(&ab.row("frameworks_map", n, arms));
+}
+
+fn mpi(ab: &Ablation, n: usize) {
+    let machine = MachineModel::paper_8core();
+    let coeffs = random_coeffs(n, 0xC0FFEE).view();
+    let vp = VpFunction::new(EVAL_POINT);
+    let mut arms = vec![Arm::timed("sequential", || {
+        SequentialExecutor::new().execute(&vp, &coeffs)
+    })];
+    let mut sim = Vec::new();
+    for ranks in RANKS {
+        let exec = MpiExecutor::new(ranks);
+        let (vp, coeffs) = (&vp, &coeffs);
+        arms.push(Arm::timed(format!("ranks_{ranks}"), move || {
+            exec.execute(vp, coeffs)
+        }));
+        let speedup = predict_poly(&machine.with_cores(ranks), n, None, false).speedup;
+        sim.push(format!("\"{ranks}\":{speedup:.4}"));
+    }
+    let sim = format!("{{{}}}", sim.join(","));
+    let row = ab.row("mpi_vp", n, ab.measure::<()>(arms));
+    ab.append(&row.extra("sim8_speedup", sim));
+
+    let ints = random_ints(n, 0xA11CE).view();
+    let reduce_fn = ReduceFunction::new(Decomp::Tie, |a: &i64, b: &i64| a + b);
+    let mut arms = vec![Arm::new("sequential", || {
+        SequentialExecutor::new().execute(&reduce_fn, &ints)
+    })];
+    for ranks in RANKS {
+        let exec = MpiExecutor::new(ranks);
+        let (reduce_fn, ints) = (&reduce_fn, &ints);
+        arms.push(Arm::new(format!("ranks_{ranks}"), move || {
+            exec.execute(reduce_fn, ints)
+        }));
+    }
+    ab.append(&ab.row("mpi_reduce", n, ab.measure(arms)));
 }
 
 fn main() {
-    let args = parse_args();
-    println!("powerlist-streams figure harness (paper: Enhancing Java Streams API with PowerList Computation)");
-    match args.command.as_str() {
-        "fig3" => fig3(&args),
-        "fig4" => fig4(&args),
-        "mpi" => mpi(&args),
-        "tiezip" => tiezip(&args),
-        "all" => {
-            fig3(&args);
-            fig4(&args);
-            mpi(&args);
-            tiezip(&args);
+    let pool = Arc::new(ForkJoinPool::with_default_parallelism());
+    let ab = Ablation::from_args("figures", 24, pool.threads());
+    for n in [ab.n() >> 4, ab.n() >> 2, ab.n()] {
+        if n == 0 {
+            continue;
         }
-        _ => unreachable!(),
+        poly(&ab, &pool, n);
+        tiezip(&ab, n);
+        frameworks(&ab, &pool, n);
+        mpi(&ab, n);
     }
+    power_sum_stride(&ab, ab.n());
 }

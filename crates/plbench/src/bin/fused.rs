@@ -85,7 +85,7 @@ fn main() {
         .recorded(),
     ]);
     check_routes("mapreduce", arms[0].report(), arms[1].report());
-    ab.append(&ab.row("mapreduce", arms));
+    ab.append(&ab.row("mapreduce", ab.n(), arms));
 
     // Row 2: map ∘ filter polynomial terms, one two-stage chain in
     // both arms. x²+1 is odd exactly when x is even: the filter
@@ -118,5 +118,5 @@ fn main() {
         fu.routes.total_items(),
         "filtered fused leaves must report survivor counts"
     );
-    ab.append(&ab.row("filtered_poly", arms));
+    ab.append(&ab.row("filtered_poly", ab.n(), arms));
 }

@@ -81,7 +81,7 @@ fn main() {
         Arm::new("placement", || to_vec(true)).recorded(),
     ]);
     check_routes("tovec", arms[0].report(), arms[1].report());
-    ab.append(&ab.row("tovec", arms));
+    ab.append(&ab.row("tovec", ab.n(), arms));
 
     // Row 2: the identity PowerList collect (tie split, tie
     // recombination) — the paper's shape-preserving terminal. The view
@@ -100,5 +100,5 @@ fn main() {
         Arm::new("placement", || collect(true)).recorded(),
     ]);
     check_routes("powerlist", arms[0].report(), arms[1].report());
-    ab.append(&ab.row("powerlist", arms));
+    ab.append(&ab.row("powerlist", ab.n(), arms));
 }

@@ -50,7 +50,7 @@ fn run<R: PartialEq + std::fmt::Debug>(ab: &Ablation, bench: &str, f: impl Fn() 
     let report = plobs::recorded(&f).1;
     println!("{}", report.tree_summary());
     arms[2].report = Some(report);
-    ab.append(&ab.row(bench, arms));
+    ab.append(&ab.row(bench, ab.n(), arms));
 }
 
 fn main() {

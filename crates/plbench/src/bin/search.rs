@@ -18,6 +18,15 @@
 //! * `find_first` — `filter(x == NEEDLE).find_first()` vs draining
 //!   `filter(..).to_vec()` and taking the head, same sweep.
 //!
+//! Six more rows, `density_*`, time filtered searches across survivor
+//! densities over a permutation of `0..n`, sequentially (`seq` arm) and
+//! on the bin's pool (`par` arm). The sparse ones (`find_first` of a
+//! needle, present or absent) are where the fused search's
+//! survivor-free chunk skip pays; the dense ones (`any_match`/
+//! `all_match` calls that never stop, behind filters keeping every
+//! element, every 2nd, every 64th or every 4096th) check that it costs
+//! nothing when survivors are everywhere.
+//!
 //! The bin asserts the observability contract on recorded runs: a
 //! mid-or-later needle must record at least one pruned subtree
 //! (`early_exits` ≥ 1, `leaves_pruned` ≥ 1), `any_match` must record one
@@ -27,7 +36,7 @@
 //! drain: the short-circuit must stay visible even at smoke sizes.
 
 use forkjoin::ForkJoinPool;
-use jstreams::{stream_support, SliceSpliterator};
+use jstreams::{stream_support, ExecConfig, SliceSpliterator, TieSpliterator};
 use plbench::ab::{Ablation, Arm};
 use plbench::random_ints;
 use plobs::RunReport;
@@ -39,6 +48,76 @@ const NEEDLE: i64 = 2_000_000;
 
 /// The smallest drain ÷ search ratio a front needle may show.
 const MIN_FRONT_SPEEDUP: f64 = 3.0;
+
+/// A density case: its row name and a search that answers whether it
+/// found what it should.
+type Density<'a> = (&'static str, Box<dyn Fn(&ExecConfig) -> bool + 'a>);
+
+/// Appends the six `density_*` rows at size `n`.
+fn density(ab: &Ablation, pool: &Arc<ForkJoinPool>, n: usize) {
+    let mask = n as i64 - 1;
+    // An odd multiplier permutes 0..n, so filters on the values branch
+    // unpredictably.
+    let list = powerlist::tabulate(n, |i| (i as i64).wrapping_mul(0x9E37_79B1) & mask)
+        .expect("n is a power of two");
+    let needle = list.as_slice()[n / 2];
+    let view = list.view();
+    let src = || stream_support(TieSpliterator::from_view(&view), true);
+    let cases: Vec<Density> = vec![
+        (
+            "density_sparse_find_mid",
+            Box::new(|c| {
+                let hit = src().filter(move |x| *x == needle).try_find_first(c);
+                hit.expect("search runs") == Some(needle)
+            }),
+        ),
+        (
+            "density_sparse_find_absent",
+            Box::new(|c| {
+                let hit = src().filter(|x| *x < 0).try_find_first(c);
+                hit.expect("search runs").is_none()
+            }),
+        ),
+        (
+            "density_dense_all_every",
+            Box::new(|c| {
+                let all = src().filter(|x| *x >= 0).try_all_match(|x| *x >= 0, c);
+                all.expect("search runs")
+            }),
+        ),
+        (
+            "density_dense_any_1in2",
+            Box::new(|c| {
+                let any = src().filter(|x| x % 2 == 0).try_any_match(|x| *x < 0, c);
+                !any.expect("search runs")
+            }),
+        ),
+        (
+            "density_dense_any_1in64",
+            Box::new(|c| {
+                let any = src().filter(|x| x % 64 == 0).try_any_match(|x| *x < 0, c);
+                !any.expect("search runs")
+            }),
+        ),
+        (
+            "density_dense_any_1in4096",
+            Box::new(|c| {
+                let any = src().filter(|x| x % 4096 == 0).try_any_match(|x| *x < 0, c);
+                !any.expect("search runs")
+            }),
+        ),
+    ];
+    let seq = ExecConfig::seq();
+    let par = ExecConfig::par().with_pool(Arc::clone(pool));
+    for (name, run) in &cases {
+        assert!(run(&seq), "{name}: wrong answer");
+        let arms = ab.measure(vec![
+            Arm::new("seq", || run(&seq)),
+            Arm::new("par", || run(&par)),
+        ]);
+        ab.append(&ab.row(name, n, arms));
+    }
+}
 
 /// The sweep positions: label → planted index (None = absent).
 fn positions(n: usize) -> [(&'static str, Option<usize>); 5] {
@@ -163,7 +242,8 @@ fn main() {
                 );
                 println!("front-needle gate OK: x{speedup:.1} >= x{MIN_FRONT_SPEEDUP}");
             }
-            ab.append(&ab.row(bench, arms).extra_str("position", pos));
+            ab.append(&ab.row(bench, ab.n(), arms).extra_str("position", pos));
         }
     }
+    density(&ab, &pool, n);
 }

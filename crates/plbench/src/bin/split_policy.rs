@@ -110,7 +110,10 @@ fn main() {
         "  try_collect overhead: ratio {:.4} (try {try_ms:.3} ms vs collect {collect_ms:.3} ms)",
         try_ms / collect_ms.max(1e-12)
     );
-    ab.append(&ab.row("reduce", arms).extra("fixed_leaf_size", fixed_leaf));
+    ab.append(
+        &ab.row("reduce", ab.n(), arms)
+            .extra("fixed_leaf_size", fixed_leaf),
+    );
 
     // Workload 2: skewed cost — a hot prefix of heavy spin elements.
     let work: Vec<u64> = (0..n)
@@ -132,7 +135,10 @@ fn main() {
         },
         policies,
     ));
-    ab.append(&ab.row("poly", arms).extra("fixed_leaf_size", fixed_leaf));
+    ab.append(
+        &ab.row("poly", ab.n(), arms)
+            .extra("fixed_leaf_size", fixed_leaf),
+    );
 
     // Workload 3: filter-heavy (non-SIZED) reduce — the size estimate
     // is an upper bound, so splitting is depth-capped, not size-gated.
@@ -151,7 +157,7 @@ fn main() {
         "non-SIZED filtered collect must split (old size-gated stop would not)"
     );
     ab.append(
-        &ab.row("filtered", arms)
+        &ab.row("filtered", ab.n(), arms)
             .extra("fixed_leaf_size", fixed_leaf),
     );
 }

@@ -1,23 +1,29 @@
 //! The committed ablation ledger (`BENCH_ledger.jsonl` at the repository
-//! root) parses line by line under the `plbench.ab.v1` schema, and every
-//! ablation bin has at least one row in it.
+//! root) parses line by line under the `plbench.ab.v1` schema, every bin
+//! of this crate has at least one row in it, and every row names a bin.
 
 use plbench::ab::{LEDGER, SCHEMA};
 use plobs::json::{parse, Value};
+use std::path::Path;
 
-/// The six ablation bins, as their rows name them.
-const ABLATIONS: [&str; 6] = [
-    "fused",
-    "placement",
-    "search",
-    "split_policy",
-    "autotune",
-    "run_report",
-];
+/// The bins, by file stem of `src/bin/*.rs`, as their rows name them.
+fn bins() -> Vec<String> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+    let mut bins: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("cannot list {}: {e}", dir.display()))
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
+        .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    bins.sort();
+    assert!(!bins.is_empty(), "no bins under {}", dir.display());
+    bins
+}
 
 #[test]
 fn committed_ledger_rows_carry_the_envelope_and_timed_arms() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+    let bins = bins();
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join(LEDGER);
     let text = std::fs::read_to_string(&path)
@@ -62,12 +68,14 @@ fn committed_ledger_rows_carry_the_envelope_and_timed_arms() {
                 "{at}: arm `report` is neither null nor an object"
             );
         }
-        seen.push(str_of("ablation").to_string());
-    }
-    for ablation in ABLATIONS {
+        let ablation = str_of("ablation");
         assert!(
-            seen.iter().any(|a| a == ablation),
-            "{LEDGER} has no `{ablation}` row"
+            bins.iter().any(|bin| bin == ablation),
+            "{at}: `{ablation}` names no bin of {bins:?}"
         );
+        seen.push(ablation.to_string());
+    }
+    for bin in &bins {
+        assert!(seen.contains(bin), "{LEDGER} has no `{bin}` row");
     }
 }
