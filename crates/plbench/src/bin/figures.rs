@@ -115,32 +115,25 @@ fn power_sum_stride(ab: &Ablation, n: usize) {
 }
 
 fn tiezip(ab: &Ablation, n: usize) {
-    let data = random_ints(n, 0xA11CE);
-    let arms = ab.measure(vec![
-        Arm::new("tie", || {
-            plalgo::map_stream(data.clone(), Decomposition::Tie, |x| x * 3 + 1)
-        }),
-        Arm::new("zip", || {
-            plalgo::map_stream(data.clone(), Decomposition::Zip, |x| x * 3 + 1)
-        }),
-    ]);
+    let data = &random_ints(n, 0xA11CE);
+    let decomps = [("tie", Decomposition::Tie), ("zip", Decomposition::Zip)];
+    let arms = decomps.map(|(name, d)| {
+        Arm::new(name, move || {
+            plalgo::map_stream(data.clone(), d, |x| x * 3 + 1)
+        })
+    });
     let model = simsched::MapCostModel::default();
     let (tie, zip) = simsched::predict_map_collect(8, n, (n / 32).max(1), &model);
     let sim = format!("{{\"tie\":{tie:.4},\"zip\":{zip:.4}}}");
-    ab.append(&ab.row("tiezip_map", n, arms).extra("sim8_ms", sim));
+    let row = ab.row("tiezip_map", n, ab.measure(arms.into()));
+    ab.append(&row.extra("sim8_ms", sim));
 
-    let arms = ab.measure(
-        [("tie", Decomposition::Tie), ("zip", Decomposition::Zip)]
-            .into_iter()
-            .map(|(name, d)| {
-                let data = &data;
-                Arm::new(name, move || {
-                    plalgo::reduce_stream(data.clone(), d, 0i64, |a, b| a + b)
-                })
-            })
-            .collect(),
-    );
-    ab.append(&ab.row("tiezip_reduce", n, arms));
+    let arms = decomps.map(|(name, d)| {
+        Arm::new(name, move || {
+            plalgo::reduce_stream(data.clone(), d, 0i64, |a, b| a + b)
+        })
+    });
+    ab.append(&ab.row("tiezip_reduce", n, ab.measure(arms.into())));
 }
 
 fn frameworks(ab: &Ablation, pool: &Arc<ForkJoinPool>, n: usize) {
@@ -211,10 +204,10 @@ fn mpi(ab: &Ablation, n: usize) {
 fn main() {
     let pool = Arc::new(ForkJoinPool::with_default_parallelism());
     let ab = Ablation::from_args("figures", 24, pool.threads());
-    for n in [ab.n() >> 4, ab.n() >> 2, ab.n()] {
-        if n == 0 {
-            continue;
-        }
+    for n in [ab.n() >> 4, ab.n() >> 2, ab.n()]
+        .into_iter()
+        .filter(|&n| n > 0)
+    {
         poly(&ab, &pool, n);
         tiezip(&ab, n);
         frameworks(&ab, &pool, n);
